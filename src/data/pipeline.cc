@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+
+#include "util/byte_io.h"
 
 namespace elda {
 namespace data {
@@ -232,54 +233,56 @@ bool Batcher::Next(Batch* batch) {
   return true;
 }
 
+namespace {
+
+constexpr uint32_t kBatcherStateMagic = 0x42435253;  // "SRCB"
+
+}  // namespace
+
 std::string Batcher::ExportState() const {
   std::string state;
-  const uint32_t magic = 0x42435253;  // "SRCB"
-  state.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  const uint64_t n = indices_.size();
-  state.append(reinterpret_cast<const char*>(&n), sizeof(n));
+  util::AppendPod(&state, kBatcherStateMagic);
+  util::AppendPod(&state, static_cast<uint64_t>(indices_.size()));
   state.append(reinterpret_cast<const char*>(indices_.data()),
-               n * sizeof(int64_t));
-  const int64_t cursor = cursor_;
-  state.append(reinterpret_cast<const char*>(&cursor), sizeof(cursor));
+               indices_.size() * sizeof(int64_t));
+  util::AppendPod(&state, cursor_);
+  return state;
+}
+
+std::string Batcher::StateFromLegacyOrder(const std::string& order_section) {
+  // The section is the state's count + order payload; the boundary cursor
+  // is 0 (the next StartEpoch resets it either way).
+  std::string state;
+  util::AppendPod(&state, kBatcherStateMagic);
+  state += order_section;
+  util::AppendPod(&state, int64_t{0});
   return state;
 }
 
 bool Batcher::RestoreState(const std::string& state) {
-  if (state.size() < sizeof(uint32_t) + sizeof(uint64_t)) return false;
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(state.data());
-  uint32_t magic;
-  std::memcpy(&magic, p, sizeof(magic));
-  if (magic != 0x42435253) return false;
-  uint64_t n;
-  std::memcpy(&n, p + 4, sizeof(n));
-  if (n != indices_.size() ||
-      state.size() != 12 + n * sizeof(int64_t) + sizeof(int64_t)) {
+  util::BlobReader reader(state);
+  uint32_t magic = 0;
+  uint64_t n = 0;
+  if (!reader.Pod(&magic) || magic != kBatcherStateMagic || !reader.Pod(&n) ||
+      n != indices_.size()) {
     return false;
   }
   std::vector<int64_t> order(n);
-  std::memcpy(order.data(), p + 12, n * sizeof(int64_t));
-  {
-    std::vector<int64_t> a = indices_, b = order;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    if (a != b) return false;
+  for (int64_t& index : order) {
+    if (!reader.Pod(&index)) return false;
   }
-  int64_t cursor;
-  std::memcpy(&cursor, p + 12 + n * sizeof(int64_t), sizeof(cursor));
-  if (cursor < 0 || cursor > static_cast<int64_t>(n)) return false;
-  indices_ = std::move(order);
-  cursor_ = cursor;
-  return true;
-}
-
-void Batcher::RestoreOrder(std::vector<int64_t> order) {
+  int64_t cursor = 0;
+  if (!reader.Pod(&cursor) || !reader.Done() || cursor < 0 ||
+      cursor > static_cast<int64_t>(n)) {
+    return false;
+  }
   std::vector<int64_t> a = indices_, b = order;
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
-  ELDA_CHECK(a == b) << "restored order is not a permutation of the split";
+  if (a != b) return false;
   indices_ = std::move(order);
-  cursor_ = 0;
+  cursor_ = cursor;
+  return true;
 }
 
 int64_t Batcher::NumBatchesPerEpoch() const {

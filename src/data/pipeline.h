@@ -16,6 +16,7 @@
 #define ELDA_DATA_PIPELINE_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "data/emr.h"
@@ -131,8 +132,9 @@ Batch MakeBatch(const std::vector<PreparedSample>& prepared,
                 const std::vector<int64_t>& indices, Task task);
 
 // An epoch-oriented stream of mini-batches. Implemented by the in-RAM
-// Batcher and the out-of-core ShardedLoader; Trainer::TrainStreamed consumes
-// this interface so the two are interchangeable.
+// Batcher and the out-of-core ShardedLoader; the trainer's training loop
+// consumes this interface (Train and TrainMultiTask through a Batcher,
+// TrainStreamed through the caller's source).
 class BatchSource {
  public:
   virtual ~BatchSource() = default;
@@ -170,15 +172,16 @@ class Batcher : public BatchSource {
   int64_t NumBatchesPerEpoch() const override;
 
   // BatchSource state: the current permutation plus the intra-epoch cursor.
+  // StartEpoch's shuffle permutes the order in place, so restoring the state
+  // together with the Rng that drives the shuffle replays the remaining
+  // epochs bit-for-bit.
   std::string ExportState() const override;
   bool RestoreState(const std::string& state) override;
 
-  // Checkpoint/resume support: the current index permutation. StartEpoch's
-  // shuffle permutes this order in place, so restoring it (together with the
-  // Rng that drives the shuffle) replays the remaining epochs bit-for-bit.
-  const std::vector<int64_t>& order() const { return indices_; }
-  // CHECK-fails unless `order` is a permutation of the batcher's index set.
-  void RestoreOrder(std::vector<int64_t> order);
+  // Converts an older checkpoint's batcher section (uint64 count, int64
+  // order[count], captured at an epoch boundary) into a state string for
+  // RestoreState. A malformed section yields a state RestoreState rejects.
+  static std::string StateFromLegacyOrder(const std::string& order_section);
 
  private:
   const std::vector<PreparedSample>* prepared_;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "par/par.h"
+#include "util/byte_io.h"
 #include "util/logging.h"
 
 namespace elda {
@@ -13,19 +13,6 @@ namespace data {
 namespace {
 
 constexpr uint32_t kLoaderStateMagic = 0x4C435253;  // "SRCL"
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::string& in, size_t* pos, T* value) {
-  if (*pos + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
 
 bool KeepIndex(int64_t global_index, int64_t split_mod,
                const std::vector<int64_t>& split_keep) {
@@ -343,38 +330,36 @@ void ShardedLoader::PrefetchLoop() {
 
 std::string ShardedLoader::ExportState() const {
   std::string state;
-  AppendPod<uint32_t>(&state, kLoaderStateMagic);
-  AppendPod<uint8_t>(&state, epoch_active_ ? 1 : 0);
+  util::AppendPod<uint32_t>(&state, kLoaderStateMagic);
+  util::AppendPod<uint8_t>(&state, epoch_active_ ? 1 : 0);
   const RngState rng_state =
       epoch_active_ ? epoch_start_rng_ : rng_.SaveState();
-  for (uint64_t word : rng_state.s) AppendPod<uint64_t>(&state, word);
-  AppendPod<double>(&state, rng_state.cached_normal);
-  AppendPod<uint8_t>(&state, rng_state.has_cached_normal ? 1 : 0);
-  AppendPod<int64_t>(&state, epoch_active_ ? cursor_ : 0);
-  AppendPod<int64_t>(&state, static_cast<int64_t>(entries_.size()));
+  for (uint64_t word : rng_state.s) util::AppendPod<uint64_t>(&state, word);
+  util::AppendPod<double>(&state, rng_state.cached_normal);
+  util::AppendPod<uint8_t>(&state, rng_state.has_cached_normal ? 1 : 0);
+  util::AppendPod<int64_t>(&state, epoch_active_ ? cursor_ : 0);
+  util::AppendPod<int64_t>(&state, static_cast<int64_t>(entries_.size()));
   return state;
 }
 
 bool ShardedLoader::RestoreState(const std::string& state) {
-  size_t pos = 0;
-  uint32_t magic;
-  uint8_t active, has_cached;
+  util::BlobReader reader(state);
+  uint32_t magic = 0;
+  uint8_t active = 0, has_cached = 0;
   RngState rng_state;
-  int64_t cursor, num_entries;
-  if (!ReadPod(state, &pos, &magic) || magic != kLoaderStateMagic) {
-    return false;
-  }
-  if (!ReadPod(state, &pos, &active)) return false;
-  for (uint64_t& word : rng_state.s) {
-    if (!ReadPod(state, &pos, &word)) return false;
-  }
-  if (!ReadPod(state, &pos, &rng_state.cached_normal)) return false;
-  if (!ReadPod(state, &pos, &has_cached)) return false;
+  int64_t cursor = 0, num_entries = 0;
+  bool ok = reader.Pod(&magic) && magic == kLoaderStateMagic &&
+            reader.Pod(&active);
+  for (uint64_t& word : rng_state.s) ok = ok && reader.Pod(&word);
+  ok = ok && reader.Pod(&rng_state.cached_normal) &&
+       reader.Pod(&has_cached) && reader.Pod(&cursor) &&
+       reader.Pod(&num_entries) && reader.Done();
+  if (!ok) return false;
   rng_state.has_cached_normal = has_cached != 0;
-  if (!ReadPod(state, &pos, &cursor)) return false;
-  if (!ReadPod(state, &pos, &num_entries)) return false;
-  if (pos != state.size()) return false;
   if (num_entries != static_cast<int64_t>(entries_.size())) return false;
+  // The plan's length does not depend on the shuffle, so the cursor is
+  // validated before any member changes.
+  if (active && (cursor < 0 || cursor > NumBatchesPerEpoch())) return false;
 
   StopPrefetch();
   rng_.RestoreState(rng_state);
@@ -383,11 +368,6 @@ bool ShardedLoader::RestoreState(const std::string& state) {
     // function of the rng, so the remaining batches are bitwise identical.
     epoch_start_rng_ = rng_state;
     BuildEpochPlan(&rng_);
-    if (cursor < 0 || cursor > static_cast<int64_t>(plan_.size())) {
-      epoch_active_ = false;
-      plan_.clear();
-      return false;
-    }
     cursor_ = cursor;
     epoch_active_ = true;
     if (options_.prefetch && cursor_ < static_cast<int64_t>(plan_.size())) {

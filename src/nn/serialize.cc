@@ -1,15 +1,18 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <map>
 
 #include "health/ckpt_io.h"
+#include "util/byte_io.h"
 
 namespace elda {
 namespace nn {
 namespace {
+
+using util::AppendPod;
+using util::BlobReader;
 
 constexpr char kMagic[4] = {'E', 'L', 'D', 'A'};
 constexpr uint32_t kLegacyVersion = 1;
@@ -23,46 +26,6 @@ bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
 }
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-// Bounds-checked little-endian reader over an in-memory blob.
-class BlobReader {
- public:
-  explicit BlobReader(const std::string& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool Pod(T* value) {
-    if (pos_ + sizeof(T) > bytes_.size()) return false;
-    std::memcpy(value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool String(size_t length, std::string* out) {
-    if (pos_ + length > bytes_.size()) return false;
-    out->assign(bytes_, pos_, length);
-    pos_ += length;
-    return true;
-  }
-
-  bool Floats(float* dst, int64_t count) {
-    const size_t n = static_cast<size_t>(count) * sizeof(float);
-    if (pos_ + n > bytes_.size()) return false;
-    std::memcpy(dst, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool Done() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
 
 // Validates dims read from an untrusted file and returns the volume, or -1
 // when the shape is rejected (non-positive dim, overflow, or over the cap).

@@ -1,12 +1,15 @@
 #include "train/checkpoint.h"
 
-#include <cstring>
-
+#include "data/pipeline.h"
 #include "health/ckpt_io.h"
+#include "util/byte_io.h"
 
 namespace elda {
 namespace train {
 namespace {
+
+using util::AppendPod;
+using util::BlobReader;
 
 constexpr int64_t kMaxTensorElements = int64_t{1} << 28;
 constexpr uint64_t kMaxListEntries = 1 << 20;
@@ -15,38 +18,6 @@ bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
 }
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-class BlobReader {
- public:
-  explicit BlobReader(const std::string& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool Pod(T* value) {
-    if (pos_ + sizeof(T) > bytes_.size()) return false;
-    std::memcpy(value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool Floats(float* dst, int64_t count) {
-    const size_t n = static_cast<size_t>(count) * sizeof(float);
-    if (pos_ + n > bytes_.size()) return false;
-    std::memcpy(dst, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool Done() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
 
 void AppendTensorList(std::string* out, const std::vector<Tensor>& tensors) {
   AppendPod(out, static_cast<uint64_t>(tensors.size()));
@@ -136,18 +107,11 @@ bool SaveTrainCheckpoint(const std::string& path, const TrainCheckpoint& ckpt,
   AppendPod(&rng, static_cast<uint8_t>(ckpt.rng.has_cached_normal ? 1 : 0));
   sections.push_back({"rng", std::move(rng)});
 
-  std::string batcher;
-  AppendPod(&batcher, static_cast<uint64_t>(ckpt.batch_order.size()));
-  for (int64_t idx : ckpt.batch_order) AppendPod(&batcher, idx);
-  sections.push_back({"batcher", std::move(batcher)});
-
   std::string best;
   AppendTensorList(&best, ckpt.best_params);
   sections.push_back({"best", std::move(best)});
 
-  if (!ckpt.source_state.empty()) {
-    sections.push_back({"source", ckpt.source_state});
-  }
+  sections.push_back({"source", ckpt.source_state});
 
   return health::WriteSectionedFile(path, sections, error);
 }
@@ -217,25 +181,6 @@ bool LoadTrainCheckpoint(const std::string& path, TrainCheckpoint* ckpt,
     parsed.rng.has_cached_normal = has_cached != 0;
   }
 
-  const health::Section* batcher = RequireSection(sections, "batcher", error);
-  if (batcher == nullptr) return false;
-  {
-    BlobReader reader(batcher->payload);
-    uint64_t count = 0;
-    if (!reader.Pod(&count) || count > kMaxListEntries) {
-      return Fail(error, "corrupt 'batcher' section in " + path);
-    }
-    parsed.batch_order.resize(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      if (!reader.Pod(&parsed.batch_order[i])) {
-        return Fail(error, "truncated 'batcher' section in " + path);
-      }
-    }
-    if (!reader.Done()) {
-      return Fail(error, "trailing bytes in 'batcher' section of " + path);
-    }
-  }
-
   const health::Section* best = RequireSection(sections, "best", error);
   if (best == nullptr) return false;
   {
@@ -249,10 +194,17 @@ bool LoadTrainCheckpoint(const std::string& path, TrainCheckpoint* ckpt,
     }
   }
 
-  // Optional: streamed-loader cursor state (absent in older checkpoints and
-  // classic Train runs).
-  const health::Section* source = health::FindSection(sections, "source");
-  if (source != nullptr) parsed.source_state = source->payload;
+  // Checkpoints written before every run exported its source cursor carry
+  // the in-RAM batcher's order in a "batcher" section instead (and streamed
+  // runs of that era wrote both, with the cursor in "source").
+  if (const health::Section* source = health::FindSection(sections, "source")) {
+    parsed.source_state = source->payload;
+  } else if (const health::Section* batcher =
+                 health::FindSection(sections, "batcher")) {
+    parsed.source_state = data::Batcher::StateFromLegacyOrder(batcher->payload);
+  } else {
+    return Fail(error, "checkpoint is missing section 'source'");
+  }
 
   *ckpt = std::move(parsed);
   return true;

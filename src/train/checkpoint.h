@@ -1,9 +1,10 @@
 // Crash-safe full-run training checkpoints.
 //
-// A TrainCheckpoint captures everything Trainer::Train needs to continue a
-// killed run bit-for-bit: model parameters, Adam moments and step counter,
-// the RNG stream, the batcher's current index permutation, the best-
-// validation snapshot, and the early-stopping bookkeeping. It is stored in
+// A TrainCheckpoint captures everything the trainer needs to continue a
+// killed Train / TrainMultiTask / TrainStreamed run bit-for-bit: model
+// parameters, Adam moments and step counter, the RNG stream, the training
+// source's cursor, the best-validation snapshot, and the early-stopping
+// bookkeeping. It is stored in
 // the sectioned v2 container (health/ckpt_io.h): atomic writes, per-section
 // CRC32 verified at load, so a torn or bit-flipped file is rejected with a
 // precise error instead of resuming from garbage.
@@ -23,7 +24,7 @@
 namespace elda {
 namespace train {
 
-// State of a Trainer::Train run at an epoch boundary (captured after the
+// State of a training run at an epoch boundary (captured after the
 // epoch's evaluation and bookkeeping, before the next epoch's shuffle).
 struct TrainCheckpoint {
   // Progress and early-stopping bookkeeping.
@@ -42,11 +43,11 @@ struct TrainCheckpoint {
   std::string params_blob;          // nn::EncodeParameters of the model
   optim::AdamState adam;            // moments, step counter, current LR
   RngState rng;                     // shuffle / dropout stream
-  std::vector<int64_t> batch_order; // batcher permutation at the boundary
   std::vector<Tensor> best_params;  // best-validation snapshot (may be empty)
-  // BatchSource::ExportState of the training stream (TrainStreamed runs;
-  // empty for the classic Train path). Optional section: checkpoints written
-  // before this field existed load with it empty.
+  // BatchSource::ExportState of the training stream at the boundary: the
+  // in-RAM Batcher's permutation for Train / TrainMultiTask, the source's
+  // own cursor for TrainStreamed. Checkpoints from before this section held
+  // only the batcher order load with it converted to a Batcher state.
   std::string source_state;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <memory>
 
 #include "autograd/ops.h"
 #include "health/health.h"
@@ -48,6 +50,22 @@ void PoisonGradients(const std::vector<ag::Variable>& params) {
   }
 }
 
+// What differs between Train, TrainMultiTask and TrainStreamed; the loop
+// below owns everything else.
+struct LoopSteps {
+  nn::Module* trainable = nullptr;  // parameters optimized and checkpointed
+  std::string name;                 // model name for log lines
+  // Training batches; null or empty means there is nothing to train on.
+  // Its ExportState cursor rides in rollback snapshots and checkpoints.
+  data::BatchSource* source = nullptr;
+  // Loss of one training batch under the training-mode context.
+  std::function<ag::Variable(const data::Batch&, nn::ForwardContext*)> loss;
+  // Validation metrics of the current parameters; model selection and early
+  // stopping monitor auc_pr. Unset: no selection, the last epoch's
+  // parameters are kept.
+  std::function<EvalResult()> validate;
+};
+
 // In-memory state captured at each epoch boundary, enough to deterministically
 // replay the epoch after a rollback (the checkpoint file holds the same state
 // plus bookkeeping for cross-process resume).
@@ -55,8 +73,272 @@ struct RunSnapshot {
   std::vector<Tensor> params;
   optim::AdamState adam;
   RngState rng;
-  std::vector<int64_t> order;
+  std::string source;
 };
+
+// The paper's training protocol (Section V-A) behind every entry point: Adam,
+// per-step health checks with the skip / rollback / abort policies, injected
+// gradient faults, epoch-boundary checkpoints and resume, early stopping on
+// validation AUC-PR, and best-epoch parameter restore. `rng` drives dropout
+// (and whatever else the caller wired to it) and is checkpointed. Fills the
+// fields `Result` shares between TrainResult and MultiTaskTrainResult, and
+// the best epoch's validation metrics into *best_val. Returns false when
+// nothing was trained (empty source, unusable checkpoint); result->status
+// says why.
+template <typename Result>
+bool RunTrainingLoop(const TrainerConfig& config, const LoopSteps& steps,
+                     Rng* rng, Result* result, EvalResult* best_val) {
+  result->num_parameters = steps.trainable->NumParameters();
+  data::BatchSource* source = steps.source;
+  if (source == nullptr || source->NumBatchesPerEpoch() == 0) {
+    result->status = health::TrainStatus::kEmptyTrainSplit;
+    result->status_message = "train split is empty; nothing to train on";
+    return false;
+  }
+  std::vector<ag::Variable> params = steps.trainable->Parameters();
+  optim::Adam adam(params, config.learning_rate);
+  health::HealthMonitor monitor(config.health);
+  health::FaultInjector* inject = health::GlobalFaultInjector();
+  const bool checkpointing =
+      config.checkpoint_every > 0 && !config.checkpoint_path.empty();
+
+  double best_val_auc_pr = -1.0;
+  std::vector<Tensor> best_params;
+  int64_t epochs_without_improvement = 0;
+  double total_batch_seconds = 0.0;
+  int64_t total_batches = 0;
+  int64_t start_epoch = 0;
+  int64_t global_step = 0;  // optimizer steps, for deterministic faults
+
+  if (config.resume && !config.checkpoint_path.empty() &&
+      FileExists(config.checkpoint_path)) {
+    TrainCheckpoint ckpt;
+    std::string err;
+    if (!LoadTrainCheckpoint(config.checkpoint_path, &ckpt, &err) ||
+        !nn::DecodeParameters(steps.trainable, ckpt.params_blob, &err)) {
+      result->status = health::TrainStatus::kCheckpointError;
+      result->status_message = err;
+      return false;
+    }
+    if (!source->RestoreState(ckpt.source_state)) {
+      result->status = health::TrainStatus::kCheckpointError;
+      result->status_message = config.checkpoint_path +
+                               " was written for a different train split "
+                               "(its source state does not restore here)";
+      return false;
+    }
+    adam.RestoreState(ckpt.adam);
+    rng->RestoreState(ckpt.rng);
+    start_epoch = ckpt.next_epoch;
+    best_val_auc_pr = ckpt.best_val_auc_pr;
+    best_params = std::move(ckpt.best_params);
+    epochs_without_improvement = ckpt.epochs_without_improvement;
+    total_batch_seconds = ckpt.total_batch_seconds;
+    total_batches = ckpt.total_batches;
+    global_step = ckpt.total_batches;
+    *best_val = ckpt.best_val;
+    result->best_epoch = ckpt.best_epoch;
+    result->epochs_run = ckpt.epochs_run;
+    result->recoveries = ckpt.recoveries;
+    result->skipped_batches = ckpt.skipped_batches;
+    if (epochs_without_improvement > config.patience) {
+      // Early stopping had already triggered when this checkpoint was
+      // written; skip straight to finalization so the resumed run matches
+      // the uninterrupted one.
+      start_epoch = config.max_epochs;
+    }
+    if (config.verbose) {
+      std::cerr << steps.name << " resumed from " << config.checkpoint_path
+                << " at epoch " << start_epoch << "\n";
+    }
+  }
+
+  auto take_snapshot = [&]() {
+    RunSnapshot snap;
+    snap.params.reserve(params.size());
+    for (const ag::Variable& p : params) {
+      snap.params.push_back(p.value().Clone());
+    }
+    snap.adam = adam.ExportState();
+    snap.rng = rng->SaveState();
+    snap.source = source->ExportState();
+    return snap;
+  };
+  auto restore_snapshot = [&](const RunSnapshot& snap) {
+    for (size_t i = 0; i < params.size(); ++i) {
+      *params[i].mutable_value() = snap.params[i].Clone();
+    }
+    adam.RestoreState(snap.adam);
+    rng->RestoreState(snap.rng);
+    ELDA_CHECK(source->RestoreState(snap.source));
+  };
+  auto write_checkpoint = [&](int64_t next_epoch) {
+    TrainCheckpoint ckpt;
+    ckpt.next_epoch = next_epoch;
+    ckpt.epochs_run = result->epochs_run;
+    ckpt.best_epoch = result->best_epoch;
+    ckpt.epochs_without_improvement = epochs_without_improvement;
+    ckpt.total_batches = total_batches;
+    ckpt.recoveries = result->recoveries;
+    ckpt.skipped_batches = result->skipped_batches;
+    ckpt.best_val_auc_pr = best_val_auc_pr;
+    ckpt.best_val = *best_val;
+    ckpt.total_batch_seconds = total_batch_seconds;
+    ckpt.params_blob = nn::EncodeParameters(*steps.trainable);
+    ckpt.adam = adam.ExportState();
+    ckpt.rng = rng->SaveState();
+    ckpt.source_state = source->ExportState();
+    ckpt.best_params.reserve(best_params.size());
+    for (const Tensor& t : best_params) {
+      ckpt.best_params.push_back(t.Clone());
+    }
+    std::string err;
+    if (!SaveTrainCheckpoint(config.checkpoint_path, ckpt, &err)) {
+      ++result->checkpoint_write_failures;
+      std::cerr << steps.name << ": checkpoint write failed (" << err
+                << "); training continues\n";
+    }
+  };
+
+  // Training-mode forward context. Dropout draws come from the checkpointed
+  // rng so interrupted-and-resumed runs stay bitwise identical to
+  // uninterrupted ones.
+  nn::ForwardContext train_ctx;
+  train_ctx.training = true;
+  train_ctx.rng = rng;
+
+  bool aborted = false;
+  for (int64_t epoch = start_epoch;
+       epoch < config.max_epochs && !aborted; ++epoch) {
+    // Last-good state for rollback recovery; refreshed each epoch boundary
+    // (before the shuffle, so a replayed epoch draws the same batches).
+    const RunSnapshot boundary = take_snapshot();
+    double epoch_loss = 0.0;
+    int64_t epoch_batches = 0;
+    bool epoch_complete = false;
+    while (!epoch_complete && !aborted) {
+      source->StartEpoch();
+      epoch_loss = 0.0;
+      epoch_batches = 0;
+      bool rolled_back = false;
+      data::Batch batch;
+      while (source->Next(&batch)) {
+        Stopwatch sw;
+        adam.ZeroGrad();
+        ag::Variable loss = steps.loss(batch, &train_ctx);
+        loss.Backward();
+        if (inject->ConsumePoisonGrad(global_step)) {
+          PoisonGradients(params);
+        }
+        // The returned norm doubles as a fused NaN/Inf scan over the
+        // post-clip gradients (non-finite norms pass through unscaled).
+        const float grad_norm =
+            config.clip_norm > 0.0f
+                ? optim::ClipGradNorm(params, config.clip_norm)
+                : optim::GlobalGradNorm(params);
+        const double loss_value = loss.value()[0];
+        ++global_step;
+        const health::StepVerdict verdict =
+            monitor.Check(loss_value, grad_norm);
+        if (verdict != health::StepVerdict::kHealthy) {
+          if (config.verbose) {
+            std::cerr << steps.name << " epoch " << epoch << " step "
+                      << global_step - 1 << ": "
+                      << health::StepVerdictName(verdict) << " (loss "
+                      << loss_value << ", grad norm " << grad_norm << ")\n";
+          }
+          if (config.health.policy == health::RecoveryPolicy::kSkipBatch &&
+              result->skipped_batches < config.health.max_skipped_batches) {
+            ++result->skipped_batches;
+            continue;  // drop this batch's update
+          }
+          if (config.health.policy == health::RecoveryPolicy::kRollback &&
+              result->recoveries < config.health.max_rollbacks) {
+            ++result->recoveries;
+            const float halved_lr = adam.lr() * 0.5f;
+            restore_snapshot(boundary);
+            adam.set_lr(halved_lr);
+            monitor.Reset();
+            rolled_back = true;
+            break;  // replay the epoch from the boundary snapshot
+          }
+          // kAbort, or the skip/rollback budget is exhausted.
+          aborted = true;
+          result->status_message =
+              std::string("unhealthy step (") +
+              health::StepVerdictName(verdict) + ") at step " +
+              std::to_string(global_step - 1) + "; policy " +
+              (config.health.policy == health::RecoveryPolicy::kAbort
+                   ? "abort"
+                   : "recovery budget exhausted");
+          break;
+        }
+        adam.Step();
+        monitor.Observe(loss_value);
+        total_batch_seconds += sw.Seconds();
+        ++total_batches;
+        epoch_loss += loss_value;
+        ++epoch_batches;
+      }
+      epoch_complete = !rolled_back;
+    }
+    result->epochs_run = epoch + 1;
+    if (aborted) break;
+
+    bool stop = false;
+    EvalResult val;
+    if (steps.validate) {
+      val = steps.validate();
+      if (val.auc_pr > best_val_auc_pr) {
+        best_val_auc_pr = val.auc_pr;
+        *best_val = val;
+        result->best_epoch = epoch;
+        epochs_without_improvement = 0;
+        best_params.clear();
+        for (const ag::Variable& p : params) {
+          best_params.push_back(p.value().Clone());
+        }
+      } else if (++epochs_without_improvement > config.patience) {
+        stop = true;
+      }
+    }
+    if (config.verbose) {
+      std::cerr << steps.name << " epoch " << epoch << " train_loss="
+                << (epoch_batches > 0 ? epoch_loss / epoch_batches : 0.0)
+                << " val_auc_pr=" << val.auc_pr << "\n";
+    }
+    if (checkpointing && (epoch + 1) % config.checkpoint_every == 0) {
+      write_checkpoint(epoch + 1);
+    }
+    if (stop) break;
+  }
+
+  // Restore the best-validation parameters before any final evaluation.
+  if (!best_params.empty()) {
+    for (size_t i = 0; i < params.size(); ++i) {
+      *params[i].mutable_value() = best_params[i];
+    }
+  }
+  result->status = aborted ? health::TrainStatus::kAborted
+                   : (result->recoveries > 0 || result->skipped_batches > 0)
+                       ? health::TrainStatus::kRecovered
+                       : health::TrainStatus::kOk;
+  result->train_seconds_per_batch =
+      total_batches > 0 ? total_batch_seconds / total_batches : 0.0;
+  return true;
+}
+
+// Train's and TrainMultiTask's source: the train split, shuffled by the
+// loop's rng so shuffles and dropout share one checkpointed stream. Null
+// when the split is empty.
+std::unique_ptr<data::Batcher> SplitBatcher(
+    const std::vector<data::PreparedSample>& prepared,
+    const data::SplitIndices& split, int64_t batch_size, data::Task task,
+    Rng* rng) {
+  if (split.train.empty()) return nullptr;
+  return std::make_unique<data::Batcher>(&prepared, split.train, batch_size,
+                                         task, rng);
+}
 
 }  // namespace
 
@@ -131,251 +413,21 @@ TrainResult Trainer::Train(SequenceModel* model,
   // num_threads == 0 leaves the global --threads / ELDA_THREADS setting.
   par::ScopedNumThreads scoped_threads(config_.num_threads);
   TrainResult result;
-  result.num_parameters = model->NumParameters();
-  if (split.train.empty()) {
-    result.status = health::TrainStatus::kEmptyTrainSplit;
-    result.status_message = "train split is empty; nothing to train on";
+  Rng rng(config_.seed);
+  const std::unique_ptr<data::Batcher> batcher =
+      SplitBatcher(prepared, split, config_.batch_size, task, &rng);
+  LoopSteps steps;
+  steps.trainable = model;
+  steps.name = model->name();
+  steps.source = batcher.get();
+  steps.loss = [&](const data::Batch& batch, nn::ForwardContext* ctx) {
+    return ag::BceWithLogits(model->Forward(batch, ctx), batch.y);
+  };
+  steps.validate = [&] { return Evaluate(model, prepared, split.val, task); };
+  if (!RunTrainingLoop(config_, steps, &rng, &result, &result.val)) {
     return result;
   }
-  std::vector<ag::Variable> params = model->Parameters();
-  optim::Adam adam(params, config_.learning_rate);
-  Rng rng(config_.seed);
-  data::Batcher batcher(&prepared, split.train, config_.batch_size, task,
-                        &rng);
-  health::HealthMonitor monitor(config_.health);
-  health::FaultInjector* inject = health::GlobalFaultInjector();
-  const bool checkpointing =
-      config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
-
-  double best_val_auc_pr = -1.0;
-  std::vector<Tensor> best_params;
-  int64_t epochs_without_improvement = 0;
-  double total_batch_seconds = 0.0;
-  int64_t total_batches = 0;
-  int64_t start_epoch = 0;
-  int64_t global_step = 0;  // optimizer steps, for deterministic faults
-
-  if (config_.resume && !config_.checkpoint_path.empty() &&
-      FileExists(config_.checkpoint_path)) {
-    TrainCheckpoint ckpt;
-    std::string err;
-    if (!LoadTrainCheckpoint(config_.checkpoint_path, &ckpt, &err) ||
-        !nn::DecodeParameters(model, ckpt.params_blob, &err)) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = err;
-      return result;
-    }
-    std::vector<int64_t> expected = split.train, stored = ckpt.batch_order;
-    std::sort(expected.begin(), expected.end());
-    std::sort(stored.begin(), stored.end());
-    if (expected != stored) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = config_.checkpoint_path +
-                              " was written for a different train split";
-      return result;
-    }
-    adam.RestoreState(ckpt.adam);
-    rng.RestoreState(ckpt.rng);
-    batcher.RestoreOrder(ckpt.batch_order);
-    start_epoch = ckpt.next_epoch;
-    best_val_auc_pr = ckpt.best_val_auc_pr;
-    best_params = std::move(ckpt.best_params);
-    epochs_without_improvement = ckpt.epochs_without_improvement;
-    total_batch_seconds = ckpt.total_batch_seconds;
-    total_batches = ckpt.total_batches;
-    global_step = ckpt.total_batches;
-    result.val = ckpt.best_val;
-    result.best_epoch = ckpt.best_epoch;
-    result.epochs_run = ckpt.epochs_run;
-    result.recoveries = ckpt.recoveries;
-    result.skipped_batches = ckpt.skipped_batches;
-    if (epochs_without_improvement > config_.patience) {
-      // Early stopping had already triggered when this checkpoint was
-      // written; skip straight to finalization so the resumed run matches
-      // the uninterrupted one.
-      start_epoch = config_.max_epochs;
-    }
-    if (config_.verbose) {
-      std::cerr << model->name() << " resumed from "
-                << config_.checkpoint_path << " at epoch " << start_epoch
-                << "\n";
-    }
-  }
-
-  auto take_snapshot = [&]() {
-    RunSnapshot snap;
-    snap.params.reserve(params.size());
-    for (const ag::Variable& p : params) {
-      snap.params.push_back(p.value().Clone());
-    }
-    snap.adam = adam.ExportState();
-    snap.rng = rng.SaveState();
-    snap.order = batcher.order();
-    return snap;
-  };
-  auto restore_snapshot = [&](const RunSnapshot& snap) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = snap.params[i].Clone();
-    }
-    adam.RestoreState(snap.adam);
-    rng.RestoreState(snap.rng);
-    batcher.RestoreOrder(snap.order);
-  };
-  auto write_checkpoint = [&](int64_t next_epoch) {
-    TrainCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
-    ckpt.epochs_run = result.epochs_run;
-    ckpt.best_epoch = result.best_epoch;
-    ckpt.epochs_without_improvement = epochs_without_improvement;
-    ckpt.total_batches = total_batches;
-    ckpt.recoveries = result.recoveries;
-    ckpt.skipped_batches = result.skipped_batches;
-    ckpt.best_val_auc_pr = best_val_auc_pr;
-    ckpt.best_val = result.val;
-    ckpt.total_batch_seconds = total_batch_seconds;
-    ckpt.params_blob = nn::EncodeParameters(*model);
-    ckpt.adam = adam.ExportState();
-    ckpt.rng = rng.SaveState();
-    ckpt.batch_order = batcher.order();
-    ckpt.best_params.reserve(best_params.size());
-    for (const Tensor& t : best_params) {
-      ckpt.best_params.push_back(t.Clone());
-    }
-    std::string err;
-    if (!SaveTrainCheckpoint(config_.checkpoint_path, ckpt, &err)) {
-      ++result.checkpoint_write_failures;
-      std::cerr << model->name() << ": checkpoint write failed (" << err
-                << "); training continues\n";
-    }
-  };
-
-  // Training-mode forward context. Dropout draws come from the trainer's
-  // checkpoint-saved RNG so interrupted-and-resumed runs stay bitwise
-  // identical to uninterrupted ones.
-  nn::ForwardContext train_ctx;
-  train_ctx.training = true;
-  train_ctx.rng = &rng;
-
-  bool aborted = false;
-  for (int64_t epoch = start_epoch;
-       epoch < config_.max_epochs && !aborted; ++epoch) {
-    // Last-good state for rollback recovery; refreshed each epoch boundary
-    // (before the shuffle, so a replayed epoch draws the same batches).
-    const RunSnapshot boundary = take_snapshot();
-    double epoch_loss = 0.0;
-    int64_t epoch_batches = 0;
-    bool epoch_complete = false;
-    while (!epoch_complete && !aborted) {
-      batcher.StartEpoch();
-      epoch_loss = 0.0;
-      epoch_batches = 0;
-      bool rolled_back = false;
-      data::Batch batch;
-      while (batcher.Next(&batch)) {
-        Stopwatch sw;
-        adam.ZeroGrad();
-        ag::Variable logits = model->Forward(batch, &train_ctx);
-        ag::Variable loss = ag::BceWithLogits(logits, batch.y);
-        loss.Backward();
-        if (inject->ConsumePoisonGrad(global_step)) {
-          PoisonGradients(params);
-        }
-        // The returned norm doubles as a fused NaN/Inf scan over the
-        // post-clip gradients (non-finite norms pass through unscaled).
-        const float grad_norm =
-            config_.clip_norm > 0.0f
-                ? optim::ClipGradNorm(params, config_.clip_norm)
-                : optim::GlobalGradNorm(params);
-        const double loss_value = loss.value()[0];
-        ++global_step;
-        const health::StepVerdict verdict =
-            monitor.Check(loss_value, grad_norm);
-        if (verdict != health::StepVerdict::kHealthy) {
-          if (config_.verbose) {
-            std::cerr << model->name() << " epoch " << epoch << " step "
-                      << global_step - 1 << ": "
-                      << health::StepVerdictName(verdict) << " (loss "
-                      << loss_value << ", grad norm " << grad_norm << ")\n";
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kSkipBatch &&
-              result.skipped_batches < config_.health.max_skipped_batches) {
-            ++result.skipped_batches;
-            continue;  // drop this batch's update
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kRollback &&
-              result.recoveries < config_.health.max_rollbacks) {
-            ++result.recoveries;
-            const float halved_lr = adam.lr() * 0.5f;
-            restore_snapshot(boundary);
-            adam.set_lr(halved_lr);
-            monitor.Reset();
-            rolled_back = true;
-            break;  // replay the epoch from the boundary snapshot
-          }
-          // kAbort, or the skip/rollback budget is exhausted.
-          aborted = true;
-          result.status_message =
-              std::string("unhealthy step (") +
-              health::StepVerdictName(verdict) + ") at step " +
-              std::to_string(global_step - 1) + "; policy " +
-              (config_.health.policy == health::RecoveryPolicy::kAbort
-                   ? "abort"
-                   : "recovery budget exhausted");
-          break;
-        }
-        adam.Step();
-        monitor.Observe(loss_value);
-        total_batch_seconds += sw.Seconds();
-        ++total_batches;
-        epoch_loss += loss_value;
-        ++epoch_batches;
-      }
-      epoch_complete = !rolled_back;
-    }
-    if (aborted) {
-      result.epochs_run = epoch + 1;
-      break;
-    }
-    result.epochs_run = epoch + 1;
-
-    const EvalResult val = Evaluate(model, prepared, split.val, task);
-    if (config_.verbose) {
-      std::cerr << model->name() << " epoch " << epoch << " train_bce="
-                << (epoch_batches > 0 ? epoch_loss / epoch_batches : 0.0)
-                << " val_auc_pr=" << val.auc_pr << "\n";
-    }
-    bool stop = false;
-    if (val.auc_pr > best_val_auc_pr) {
-      best_val_auc_pr = val.auc_pr;
-      result.val = val;
-      result.best_epoch = epoch;
-      epochs_without_improvement = 0;
-      best_params.clear();
-      for (const ag::Variable& p : params) {
-        best_params.push_back(p.value().Clone());
-      }
-    } else if (++epochs_without_improvement > config_.patience) {
-      stop = true;
-    }
-    if (checkpointing && (epoch + 1) % config_.checkpoint_every == 0) {
-      write_checkpoint(epoch + 1);
-    }
-    if (stop) break;
-  }
-
-  // Restore the best-validation parameters before the test evaluation.
-  if (!best_params.empty()) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = best_params[i];
-    }
-  }
   result.test = Evaluate(model, prepared, split.test, task);
-  result.status = aborted ? health::TrainStatus::kAborted
-                  : (result.recoveries > 0 || result.skipped_batches > 0)
-                      ? health::TrainStatus::kRecovered
-                      : health::TrainStatus::kOk;
-  result.train_seconds_per_batch =
-      total_batches > 0 ? total_batch_seconds / total_batches : 0.0;
 
   // Single-sample prediction latency (Table III's "Prediction (ms)"),
   // measured on the graph-free inference path like Predict().
@@ -456,244 +508,37 @@ MultiTaskTrainResult Trainer::TrainMultiTask(
   // trunk first, then each head in Add order.
   ModelWithHead bundle(model, heads);
   MultiTaskTrainResult result;
-  result.num_parameters = bundle.NumParameters();
-  if (split.train.empty()) {
-    result.status = health::TrainStatus::kEmptyTrainSplit;
-    result.status_message = "train split is empty; nothing to train on";
-    return result;
-  }
-  std::vector<ag::Variable> params = bundle.Parameters();
-  optim::Adam adam(params, config_.learning_rate);
   Rng rng(config_.seed);
-  data::Batcher batcher(&prepared, split.train, config_.batch_size, task,
-                        &rng);
-  health::HealthMonitor monitor(config_.health);
-  health::FaultInjector* inject = health::GlobalFaultInjector();
-  const bool checkpointing =
-      config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
+  const std::unique_ptr<data::Batcher> batcher =
+      SplitBatcher(prepared, split, config_.batch_size, task, &rng);
   const bool want_steps = heads->wants_steps();
-
-  double best_val_auc_pr = -1.0;  // mean across heads
-  std::vector<Tensor> best_params;
-  int64_t epochs_without_improvement = 0;
-  double total_batch_seconds = 0.0;
-  int64_t total_batches = 0;
-  int64_t start_epoch = 0;
-  int64_t global_step = 0;
-
-  if (config_.resume && !config_.checkpoint_path.empty() &&
-      FileExists(config_.checkpoint_path)) {
-    TrainCheckpoint ckpt;
-    std::string err;
-    if (!LoadTrainCheckpoint(config_.checkpoint_path, &ckpt, &err) ||
-        !nn::DecodeParameters(&bundle, ckpt.params_blob, &err)) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = err;
-      return result;
-    }
-    std::vector<int64_t> expected = split.train, stored = ckpt.batch_order;
-    std::sort(expected.begin(), expected.end());
-    std::sort(stored.begin(), stored.end());
-    if (expected != stored) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = config_.checkpoint_path +
-                              " was written for a different train split";
-      return result;
-    }
-    adam.RestoreState(ckpt.adam);
-    rng.RestoreState(ckpt.rng);
-    batcher.RestoreOrder(ckpt.batch_order);
-    start_epoch = ckpt.next_epoch;
-    best_val_auc_pr = ckpt.best_val_auc_pr;
-    best_params = std::move(ckpt.best_params);
-    epochs_without_improvement = ckpt.epochs_without_improvement;
-    total_batch_seconds = ckpt.total_batch_seconds;
-    total_batches = ckpt.total_batches;
-    global_step = ckpt.total_batches;
-    result.best_epoch = ckpt.best_epoch;
-    result.epochs_run = ckpt.epochs_run;
-    result.recoveries = ckpt.recoveries;
-    result.skipped_batches = ckpt.skipped_batches;
-    if (epochs_without_improvement > config_.patience) {
-      start_epoch = config_.max_epochs;
-    }
-    if (config_.verbose) {
-      std::cerr << model->name() << " resumed (multi-task) from "
-                << config_.checkpoint_path << " at epoch " << start_epoch
-                << "\n";
-    }
-  }
-
-  auto take_snapshot = [&]() {
-    RunSnapshot snap;
-    snap.params.reserve(params.size());
-    for (const ag::Variable& p : params) {
-      snap.params.push_back(p.value().Clone());
-    }
-    snap.adam = adam.ExportState();
-    snap.rng = rng.SaveState();
-    snap.order = batcher.order();
-    return snap;
+  LoopSteps steps;
+  steps.trainable = &bundle;
+  steps.name = model->name();
+  steps.source = batcher.get();
+  steps.loss = [&](const data::Batch& batch, nn::ForwardContext* ctx) {
+    const Encoding enc = model->Encode(batch, ctx, want_steps);
+    return heads->JointLoss(*model, enc, batch, ctx);
   };
-  auto restore_snapshot = [&](const RunSnapshot& snap) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = snap.params[i].Clone();
-    }
-    adam.RestoreState(snap.adam);
-    rng.RestoreState(snap.rng);
-    batcher.RestoreOrder(snap.order);
+  // Selection monitors the mean AUC-PR across heads.
+  steps.validate = [&] {
+    EvalResult selection;
+    selection.auc_pr =
+        EvaluateMultiTask(model, heads, prepared, split.val, task)
+            .mean_auc_pr;
+    return selection;
   };
-  auto write_checkpoint = [&](int64_t next_epoch) {
-    TrainCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
-    ckpt.epochs_run = result.epochs_run;
-    ckpt.best_epoch = result.best_epoch;
-    ckpt.epochs_without_improvement = epochs_without_improvement;
-    ckpt.total_batches = total_batches;
-    ckpt.recoveries = result.recoveries;
-    ckpt.skipped_batches = result.skipped_batches;
-    ckpt.best_val_auc_pr = best_val_auc_pr;
-    ckpt.total_batch_seconds = total_batch_seconds;
-    ckpt.params_blob = nn::EncodeParameters(bundle);
-    ckpt.adam = adam.ExportState();
-    ckpt.rng = rng.SaveState();
-    ckpt.batch_order = batcher.order();
-    ckpt.best_params.reserve(best_params.size());
-    for (const Tensor& t : best_params) {
-      ckpt.best_params.push_back(t.Clone());
-    }
-    std::string err;
-    if (!SaveTrainCheckpoint(config_.checkpoint_path, ckpt, &err)) {
-      ++result.checkpoint_write_failures;
-      std::cerr << model->name() << ": checkpoint write failed (" << err
-                << "); training continues\n";
-    }
-  };
-
-  nn::ForwardContext train_ctx;
-  train_ctx.training = true;
-  train_ctx.rng = &rng;
-
-  bool aborted = false;
-  for (int64_t epoch = start_epoch;
-       epoch < config_.max_epochs && !aborted; ++epoch) {
-    const RunSnapshot boundary = take_snapshot();
-    double epoch_loss = 0.0;
-    int64_t epoch_batches = 0;
-    bool epoch_complete = false;
-    while (!epoch_complete && !aborted) {
-      batcher.StartEpoch();
-      epoch_loss = 0.0;
-      epoch_batches = 0;
-      bool rolled_back = false;
-      data::Batch batch;
-      while (batcher.Next(&batch)) {
-        Stopwatch sw;
-        adam.ZeroGrad();
-        Encoding enc = model->Encode(batch, &train_ctx, want_steps);
-        ag::Variable loss = heads->JointLoss(*model, enc, batch, &train_ctx);
-        loss.Backward();
-        if (inject->ConsumePoisonGrad(global_step)) {
-          PoisonGradients(params);
-        }
-        const float grad_norm =
-            config_.clip_norm > 0.0f
-                ? optim::ClipGradNorm(params, config_.clip_norm)
-                : optim::GlobalGradNorm(params);
-        const double loss_value = loss.value()[0];
-        ++global_step;
-        const health::StepVerdict verdict =
-            monitor.Check(loss_value, grad_norm);
-        if (verdict != health::StepVerdict::kHealthy) {
-          if (config_.verbose) {
-            std::cerr << model->name() << " epoch " << epoch << " step "
-                      << global_step - 1 << ": "
-                      << health::StepVerdictName(verdict) << " (loss "
-                      << loss_value << ", grad norm " << grad_norm << ")\n";
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kSkipBatch &&
-              result.skipped_batches < config_.health.max_skipped_batches) {
-            ++result.skipped_batches;
-            continue;
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kRollback &&
-              result.recoveries < config_.health.max_rollbacks) {
-            ++result.recoveries;
-            const float halved_lr = adam.lr() * 0.5f;
-            restore_snapshot(boundary);
-            adam.set_lr(halved_lr);
-            monitor.Reset();
-            rolled_back = true;
-            break;
-          }
-          aborted = true;
-          result.status_message =
-              std::string("unhealthy step (") +
-              health::StepVerdictName(verdict) + ") at step " +
-              std::to_string(global_step - 1) + "; policy " +
-              (config_.health.policy == health::RecoveryPolicy::kAbort
-                   ? "abort"
-                   : "recovery budget exhausted");
-          break;
-        }
-        adam.Step();
-        monitor.Observe(loss_value);
-        total_batch_seconds += sw.Seconds();
-        ++total_batches;
-        epoch_loss += loss_value;
-        ++epoch_batches;
-      }
-      epoch_complete = !rolled_back;
-    }
-    if (aborted) {
-      result.epochs_run = epoch + 1;
-      break;
-    }
-    result.epochs_run = epoch + 1;
-
-    const MultiTaskEvalResult val =
-        EvaluateMultiTask(model, heads, prepared, split.val, task);
-    if (config_.verbose) {
-      std::cerr << model->name() << " epoch " << epoch << " train_joint="
-                << (epoch_batches > 0 ? epoch_loss / epoch_batches : 0.0)
-                << " val_mean_auc_pr=" << val.mean_auc_pr << "\n";
-    }
-    bool stop = false;
-    if (val.mean_auc_pr > best_val_auc_pr) {
-      best_val_auc_pr = val.mean_auc_pr;
-      result.best_epoch = epoch;
-      epochs_without_improvement = 0;
-      best_params.clear();
-      for (const ag::Variable& p : params) {
-        best_params.push_back(p.value().Clone());
-      }
-    } else if (++epochs_without_improvement > config_.patience) {
-      stop = true;
-    }
-    if (checkpointing && (epoch + 1) % config_.checkpoint_every == 0) {
-      write_checkpoint(epoch + 1);
-    }
-    if (stop) break;
-  }
-
-  if (!best_params.empty()) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = best_params[i];
-    }
+  EvalResult best_selection;
+  if (!RunTrainingLoop(config_, steps, &rng, &result, &best_selection)) {
+    return result;
   }
   // Val/test metrics are (re)computed on the restored best parameters rather
   // than carried through the checkpoint, so interrupted-and-resumed runs
   // report bitwise-identical numbers to uninterrupted ones.
-  if (!aborted) {
+  if (result.status != health::TrainStatus::kAborted) {
     result.val = EvaluateMultiTask(model, heads, prepared, split.val, task);
     result.test = EvaluateMultiTask(model, heads, prepared, split.test, task);
   }
-  result.status = aborted ? health::TrainStatus::kAborted
-                  : (result.recoveries > 0 || result.skipped_batches > 0)
-                      ? health::TrainStatus::kRecovered
-                      : health::TrainStatus::kOk;
-  result.train_seconds_per_batch =
-      total_batches > 0 ? total_batch_seconds / total_batches : 0.0;
   return result;
 }
 
@@ -736,245 +581,21 @@ TrainResult Trainer::TrainStreamed(SequenceModel* model,
   ELDA_CHECK(train != nullptr);
   par::ScopedNumThreads scoped_threads(config_.num_threads);
   TrainResult result;
-  result.num_parameters = model->NumParameters();
-  if (train->NumBatchesPerEpoch() == 0) {
-    result.status = health::TrainStatus::kEmptyTrainSplit;
-    result.status_message = "train source is empty; nothing to train on";
+  Rng rng(config_.seed);  // dropout stream; the source owns its shuffle
+  LoopSteps steps;
+  steps.trainable = model;
+  steps.name = model->name();
+  steps.source = train;
+  steps.loss = [&](const data::Batch& batch, nn::ForwardContext* ctx) {
+    return ag::BceWithLogits(model->Forward(batch, ctx), batch.y);
+  };
+  if (val != nullptr) {
+    steps.validate = [&] { return EvaluateSource(model, val); };
+  }
+  if (!RunTrainingLoop(config_, steps, &rng, &result, &result.val)) {
     return result;
   }
-  std::vector<ag::Variable> params = model->Parameters();
-  optim::Adam adam(params, config_.learning_rate);
-  Rng rng(config_.seed);  // dropout stream; the source owns its shuffle
-  health::HealthMonitor monitor(config_.health);
-  health::FaultInjector* inject = health::GlobalFaultInjector();
-  const bool checkpointing =
-      config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
-
-  double best_val_auc_pr = -1.0;
-  std::vector<Tensor> best_params;
-  int64_t epochs_without_improvement = 0;
-  double total_batch_seconds = 0.0;
-  int64_t total_batches = 0;
-  int64_t start_epoch = 0;
-  int64_t global_step = 0;
-
-  if (config_.resume && !config_.checkpoint_path.empty() &&
-      FileExists(config_.checkpoint_path)) {
-    TrainCheckpoint ckpt;
-    std::string err;
-    if (!LoadTrainCheckpoint(config_.checkpoint_path, &ckpt, &err) ||
-        !nn::DecodeParameters(model, ckpt.params_blob, &err)) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = err;
-      return result;
-    }
-    if (!train->RestoreState(ckpt.source_state)) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = config_.checkpoint_path +
-                              " holds a source state this train stream "
-                              "cannot restore";
-      return result;
-    }
-    adam.RestoreState(ckpt.adam);
-    rng.RestoreState(ckpt.rng);
-    start_epoch = ckpt.next_epoch;
-    best_val_auc_pr = ckpt.best_val_auc_pr;
-    best_params = std::move(ckpt.best_params);
-    epochs_without_improvement = ckpt.epochs_without_improvement;
-    total_batch_seconds = ckpt.total_batch_seconds;
-    total_batches = ckpt.total_batches;
-    global_step = ckpt.total_batches;
-    result.val = ckpt.best_val;
-    result.best_epoch = ckpt.best_epoch;
-    result.epochs_run = ckpt.epochs_run;
-    result.recoveries = ckpt.recoveries;
-    result.skipped_batches = ckpt.skipped_batches;
-    if (epochs_without_improvement > config_.patience) {
-      start_epoch = config_.max_epochs;
-    }
-    if (config_.verbose) {
-      std::cerr << model->name() << " resumed (streamed) from "
-                << config_.checkpoint_path << " at epoch " << start_epoch
-                << "\n";
-    }
-  }
-
-  // Snapshots capture the source's exported cursor alongside the usual
-  // params/adam/rng, so a rollback replays the epoch's exact batch stream.
-  struct StreamSnapshot {
-    std::vector<Tensor> params;
-    optim::AdamState adam;
-    RngState rng;
-    std::string source_state;
-  };
-  auto take_snapshot = [&]() {
-    StreamSnapshot snap;
-    snap.params.reserve(params.size());
-    for (const ag::Variable& p : params) {
-      snap.params.push_back(p.value().Clone());
-    }
-    snap.adam = adam.ExportState();
-    snap.rng = rng.SaveState();
-    snap.source_state = train->ExportState();
-    return snap;
-  };
-  auto restore_snapshot = [&](const StreamSnapshot& snap) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = snap.params[i].Clone();
-    }
-    adam.RestoreState(snap.adam);
-    rng.RestoreState(snap.rng);
-    ELDA_CHECK(train->RestoreState(snap.source_state));
-  };
-  auto write_checkpoint = [&](int64_t next_epoch) {
-    TrainCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
-    ckpt.epochs_run = result.epochs_run;
-    ckpt.best_epoch = result.best_epoch;
-    ckpt.epochs_without_improvement = epochs_without_improvement;
-    ckpt.total_batches = total_batches;
-    ckpt.recoveries = result.recoveries;
-    ckpt.skipped_batches = result.skipped_batches;
-    ckpt.best_val_auc_pr = best_val_auc_pr;
-    ckpt.best_val = result.val;
-    ckpt.total_batch_seconds = total_batch_seconds;
-    ckpt.params_blob = nn::EncodeParameters(*model);
-    ckpt.adam = adam.ExportState();
-    ckpt.rng = rng.SaveState();
-    ckpt.source_state = train->ExportState();
-    ckpt.best_params.reserve(best_params.size());
-    for (const Tensor& t : best_params) {
-      ckpt.best_params.push_back(t.Clone());
-    }
-    std::string err;
-    if (!SaveTrainCheckpoint(config_.checkpoint_path, ckpt, &err)) {
-      ++result.checkpoint_write_failures;
-      std::cerr << model->name() << ": checkpoint write failed (" << err
-                << "); training continues\n";
-    }
-  };
-
-  nn::ForwardContext train_ctx;
-  train_ctx.training = true;
-  train_ctx.rng = &rng;
-
-  bool aborted = false;
-  for (int64_t epoch = start_epoch;
-       epoch < config_.max_epochs && !aborted; ++epoch) {
-    const StreamSnapshot boundary = take_snapshot();
-    double epoch_loss = 0.0;
-    int64_t epoch_batches = 0;
-    bool epoch_complete = false;
-    while (!epoch_complete && !aborted) {
-      train->StartEpoch();
-      epoch_loss = 0.0;
-      epoch_batches = 0;
-      bool rolled_back = false;
-      data::Batch batch;
-      while (train->Next(&batch)) {
-        Stopwatch sw;
-        adam.ZeroGrad();
-        ag::Variable logits = model->Forward(batch, &train_ctx);
-        ag::Variable loss = ag::BceWithLogits(logits, batch.y);
-        loss.Backward();
-        if (inject->ConsumePoisonGrad(global_step)) {
-          PoisonGradients(params);
-        }
-        const float grad_norm =
-            config_.clip_norm > 0.0f
-                ? optim::ClipGradNorm(params, config_.clip_norm)
-                : optim::GlobalGradNorm(params);
-        const double loss_value = loss.value()[0];
-        ++global_step;
-        const health::StepVerdict verdict =
-            monitor.Check(loss_value, grad_norm);
-        if (verdict != health::StepVerdict::kHealthy) {
-          if (config_.verbose) {
-            std::cerr << model->name() << " epoch " << epoch << " step "
-                      << global_step - 1 << ": "
-                      << health::StepVerdictName(verdict) << " (loss "
-                      << loss_value << ", grad norm " << grad_norm << ")\n";
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kSkipBatch &&
-              result.skipped_batches < config_.health.max_skipped_batches) {
-            ++result.skipped_batches;
-            continue;
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kRollback &&
-              result.recoveries < config_.health.max_rollbacks) {
-            ++result.recoveries;
-            const float halved_lr = adam.lr() * 0.5f;
-            restore_snapshot(boundary);
-            adam.set_lr(halved_lr);
-            monitor.Reset();
-            rolled_back = true;
-            break;
-          }
-          aborted = true;
-          result.status_message =
-              std::string("unhealthy step (") +
-              health::StepVerdictName(verdict) + ") at step " +
-              std::to_string(global_step - 1) + "; policy " +
-              (config_.health.policy == health::RecoveryPolicy::kAbort
-                   ? "abort"
-                   : "recovery budget exhausted");
-          break;
-        }
-        adam.Step();
-        monitor.Observe(loss_value);
-        total_batch_seconds += sw.Seconds();
-        ++total_batches;
-        epoch_loss += loss_value;
-        ++epoch_batches;
-      }
-      epoch_complete = !rolled_back;
-    }
-    if (aborted) {
-      result.epochs_run = epoch + 1;
-      break;
-    }
-    result.epochs_run = epoch + 1;
-
-    EvalResult epoch_val;
-    if (val != nullptr) epoch_val = EvaluateSource(model, val);
-    if (config_.verbose) {
-      std::cerr << model->name() << " epoch " << epoch << " train_bce="
-                << (epoch_batches > 0 ? epoch_loss / epoch_batches : 0.0)
-                << " val_auc_pr=" << epoch_val.auc_pr << "\n";
-    }
-    bool stop = false;
-    if (val != nullptr) {
-      if (epoch_val.auc_pr > best_val_auc_pr) {
-        best_val_auc_pr = epoch_val.auc_pr;
-        result.val = epoch_val;
-        result.best_epoch = epoch;
-        epochs_without_improvement = 0;
-        best_params.clear();
-        for (const ag::Variable& p : params) {
-          best_params.push_back(p.value().Clone());
-        }
-      } else if (++epochs_without_improvement > config_.patience) {
-        stop = true;
-      }
-    }
-    if (checkpointing && (epoch + 1) % config_.checkpoint_every == 0) {
-      write_checkpoint(epoch + 1);
-    }
-    if (stop) break;
-  }
-
-  if (!best_params.empty()) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = best_params[i];
-    }
-  }
   if (test != nullptr) result.test = EvaluateSource(model, test);
-  result.status = aborted ? health::TrainStatus::kAborted
-                  : (result.recoveries > 0 || result.skipped_batches > 0)
-                      ? health::TrainStatus::kRecovered
-                      : health::TrainStatus::kOk;
-  result.train_seconds_per_batch =
-      total_batches > 0 ? total_batch_seconds / total_batches : 0.0;
   return result;
 }
 

@@ -5,7 +5,9 @@
 // set, metrics BCE / AUC-ROC / AUC-PR on the held-out test set. Early
 // stopping monitors validation AUC-PR; the best-epoch parameters are
 // restored before the final evaluation. Timing instrumentation feeds the
-// Table III efficiency bench.
+// Table III efficiency bench. Train, TrainMultiTask and TrainStreamed run
+// one shared loop and differ only in where batches come from, which loss is
+// computed and how validation is scored.
 
 #ifndef ELDA_TRAIN_TRAINER_H_
 #define ELDA_TRAIN_TRAINER_H_
@@ -38,11 +40,12 @@ struct TrainerConfig {
 
   // -- Fault tolerance -------------------------------------------------------
   // When `checkpoint_path` is non-empty and `checkpoint_every` > 0, the full
-  // run state (parameters, Adam moments/step, RNG, batcher order, best-val
-  // snapshot, patience counters) is written atomically to `checkpoint_path`
-  // every `checkpoint_every` epochs. With `resume` set, Train() restores
-  // from an existing checkpoint and continues; the resumed run converges to
-  // the bitwise-identical parameters and metrics of an uninterrupted run.
+  // run state (parameters, Adam moments/step, RNG, training-source cursor,
+  // best-val snapshot, patience counters) is written atomically to
+  // `checkpoint_path` every `checkpoint_every` epochs. With `resume` set,
+  // every training entry point restores from an existing checkpoint and
+  // continues; the resumed run converges to the bitwise-identical
+  // parameters and metrics of an uninterrupted run.
   std::string checkpoint_path;
   int64_t checkpoint_every = 0;
   bool resume = false;
@@ -202,9 +205,10 @@ class Trainer {
   // The same protocol as Train/Predict/Evaluate, but batches come from a
   // data::BatchSource (the in-RAM Batcher or the out-of-core ShardedLoader),
   // so cohorts never need to fit in memory. Checkpoints carry the source's
-  // exported cursor state instead of a batch order; with a self-contained
-  // source (ShardedLoader owns its shuffle rng) resume is bitwise. Labels
-  // ride in each batch's y, so no task/split arguments are needed.
+  // exported cursor state, as they do for Train (whose Batcher exports its
+  // permutation); with a self-contained source (ShardedLoader owns its
+  // shuffle rng) resume is bitwise. Labels ride in each batch's y, so no
+  // task/split arguments are needed.
 
   // One full pass over `source` (StartEpoch + drain), graph-free; scores and
   // labels in the source's epoch order.

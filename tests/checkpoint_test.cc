@@ -1,11 +1,14 @@
 #include "train/checkpoint.h"
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "data/pipeline.h"
 #include "gtest/gtest.h"
+#include "health/ckpt_io.h"
 #include "health/health.h"
 #include "nn/gru.h"
 #include "nn/linear.h"
@@ -102,11 +105,125 @@ TrainerConfig BaseConfig() {
   return config;
 }
 
-// Keeps the global fault injector pristine around each test.
-class FaultToleranceTest : public ::testing::Test {
+// The three training entry points the health and checkpoint policies must
+// behave identically under.
+enum class EntryPoint { kTrain, kMultiTask, kStreamed };
+
+std::string EntryPointName(
+    const testing::TestParamInfo<EntryPoint>& info) {
+  switch (info.param) {
+    case EntryPoint::kTrain:
+      return "Train";
+    case EntryPoint::kMultiTask:
+      return "TrainMultiTask";
+    case EntryPoint::kStreamed:
+      return "TrainStreamed";
+  }
+  return "Unknown";
+}
+
+// The fields of a training result that the fault-tolerance tests inspect,
+// common to TrainResult and MultiTaskTrainResult.
+struct RunOutcome {
+  health::TrainStatus status = health::TrainStatus::kOk;
+  std::string status_message;
+  int64_t epochs_run = 0;
+  int64_t best_epoch = 0;
+  int64_t recoveries = 0;
+  int64_t skipped_batches = 0;
+  int64_t checkpoint_write_failures = 0;
+  EvalResult val;
+  EvalResult test;
+};
+
+template <typename Result>
+RunOutcome OutcomeOf(const Result& r) {
+  RunOutcome out;
+  out.status = r.status;
+  out.status_message = r.status_message;
+  out.epochs_run = r.epochs_run;
+  out.best_epoch = r.best_epoch;
+  out.recoveries = r.recoveries;
+  out.skipped_batches = r.skipped_batches;
+  out.checkpoint_write_failures = r.checkpoint_write_failures;
+  return out;
+}
+
+// One training "process" for an entry point:
+//  - Train: the classic in-RAM loop.
+//  - TrainMultiTask: one weight-1 BinaryTerminalHead over the model.
+//  - TrainStreamed: Batcher sources over the same split. A Batcher does not
+//    export the rng that drives its shuffles (Train shares the trainer's
+//    checkpointed rng instead), so the sources live as long as the runner;
+//    reusing a runner across a kill and a resume re-attaches live sources.
+class Runner {
+ public:
+  Runner(EntryPoint entry, const std::vector<data::PreparedSample>* prepared,
+         data::SplitIndices split)
+      : entry_(entry), prepared_(prepared), split_(std::move(split)) {}
+
+  RunOutcome Run(const TrainerConfig& config, TinyGruModel* model) {
+    const Trainer trainer(config);
+    switch (entry_) {
+      case EntryPoint::kTrain:
+        return Finish(trainer.Train(model, *prepared_, split_,
+                                    data::Task::kMortality));
+      case EntryPoint::kMultiTask: {
+        MultiHead heads;
+        heads.Add(std::make_unique<BinaryTerminalHead>(), 1.0f);
+        const MultiTaskTrainResult r = trainer.TrainMultiTask(
+            model, &heads, *prepared_, split_, data::Task::kMortality);
+        RunOutcome out = OutcomeOf(r);
+        if (!r.val.per_task.empty()) out.val = r.val.per_task[0];
+        if (!r.test.per_task.empty()) out.test = r.test.per_task[0];
+        return out;
+      }
+      case EntryPoint::kStreamed:
+        if (!train_) {
+          train_ = std::make_unique<data::Batcher>(
+              prepared_, split_.train, config.batch_size,
+              data::Task::kMortality, &train_rng_);
+          val_ = std::make_unique<data::Batcher>(
+              prepared_, split_.val, 64, data::Task::kMortality, &eval_rng_);
+          test_ = std::make_unique<data::Batcher>(
+              prepared_, split_.test, 64, data::Task::kMortality, &eval_rng_);
+        }
+        return Finish(trainer.TrainStreamed(model, train_.get(), val_.get(),
+                                            test_.get()));
+    }
+    return {};
+  }
+
+ private:
+  static RunOutcome Finish(const TrainResult& r) {
+    RunOutcome out = OutcomeOf(r);
+    out.val = r.val;
+    out.test = r.test;
+    return out;
+  }
+
+  EntryPoint entry_;
+  const std::vector<data::PreparedSample>* prepared_;
+  data::SplitIndices split_;
+  Rng train_rng_{21};
+  Rng eval_rng_{22};
+  std::unique_ptr<data::Batcher> train_, val_, test_;
+};
+
+// Keeps the global fault injector pristine around each test. The TEST_P
+// cases run once per training entry point; the TEST_F cases pin behaviour
+// specific to Train's checkpoint handling.
+class FaultToleranceTest : public ::testing::TestWithParam<EntryPoint> {
  protected:
   void SetUp() override { health::GlobalFaultInjector()->Disarm(); }
   void TearDown() override { health::GlobalFaultInjector()->Disarm(); }
+
+  // Checkpoint paths carry the entry point so parameterized runs of one
+  // test never share a file.
+  std::string CkptPath(const std::string& name) const {
+    return TempPath(name + "_" +
+                    std::to_string(static_cast<int>(GetParam())) + ".ckpt");
+  }
 };
 
 TEST(TrainCheckpointTest, SaveLoadRoundTrip) {
@@ -131,7 +248,6 @@ TEST(TrainCheckpointTest, SaveLoadRoundTrip) {
   ckpt.adam.m.push_back(Tensor::Normal({3, 4}, 0.0f, 1.0f, &rng));
   ckpt.adam.v.push_back(Tensor::Normal({3, 4}, 0.0f, 1.0f, &rng));
   ckpt.rng = rng.SaveState();
-  ckpt.batch_order = {3, 0, 2, 1};
   ckpt.best_params.push_back(Tensor::Normal({2, 2}, 0.0f, 1.0f, &rng));
 
   std::string error;
@@ -158,7 +274,6 @@ TEST(TrainCheckpointTest, SaveLoadRoundTrip) {
     EXPECT_EQ(loaded.adam.v[0][i], ckpt.adam.v[0][i]);
   }
   for (int i = 0; i < 4; ++i) EXPECT_EQ(loaded.rng.s[i], ckpt.rng.s[i]);
-  EXPECT_EQ(loaded.batch_order, ckpt.batch_order);
   ASSERT_EQ(loaded.best_params.size(), 1u);
   for (int64_t i = 0; i < loaded.best_params[0].size(); ++i) {
     EXPECT_EQ(loaded.best_params[0][i], ckpt.best_params[0][i]);
@@ -173,36 +288,35 @@ TEST(TrainCheckpointTest, LoadRejectsMissingFile) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST_F(FaultToleranceTest, KillAndResumeIsBitwiseIdentical) {
+TEST_P(FaultToleranceTest, KillAndResumeIsBitwiseIdentical) {
   auto prepared = SeparableData(200, 1);
   auto split = EvenSplit(200);
 
   // Uninterrupted reference run.
   TrainerConfig config_a = BaseConfig();
-  config_a.checkpoint_path = TempPath("resume_a.ckpt");
+  config_a.checkpoint_path = CkptPath("resume_a");
   config_a.checkpoint_every = 1;
   TinyGruModel model_a(3, 8, 2);
-  TrainResult result_a = Trainer(config_a).Train(&model_a, prepared, split,
-                                                 data::Task::kMortality);
+  RunOutcome result_a =
+      Runner(GetParam(), &prepared, split).Run(config_a, &model_a);
   ASSERT_EQ(result_a.status, health::TrainStatus::kOk);
   const std::string params_a = nn::EncodeParameters(model_a);
 
   // The same run "killed" after 3 of 6 epochs...
   TrainerConfig config_b = BaseConfig();
-  config_b.checkpoint_path = TempPath("resume_b.ckpt");
+  config_b.checkpoint_path = CkptPath("resume_b");
   config_b.checkpoint_every = 1;
   config_b.max_epochs = 3;
+  Runner runner_b(GetParam(), &prepared, split);
   TinyGruModel model_b(3, 8, 2);  // same init seed as model_a
-  TrainResult partial = Trainer(config_b).Train(&model_b, prepared, split,
-                                                data::Task::kMortality);
+  RunOutcome partial = runner_b.Run(config_b, &model_b);
   ASSERT_EQ(partial.epochs_run, 3);
 
   // ...and resumed into a freshly (differently) initialized model.
   config_b.max_epochs = 6;
   config_b.resume = true;
   TinyGruModel model_c(3, 8, 99);
-  TrainResult result_b = Trainer(config_b).Train(&model_c, prepared, split,
-                                                 data::Task::kMortality);
+  RunOutcome result_b = runner_b.Run(config_b, &model_c);
 
   EXPECT_EQ(nn::EncodeParameters(model_c), params_a);
   EXPECT_DOUBLE_EQ(result_b.val.auc_pr, result_a.val.auc_pr);
@@ -241,6 +355,76 @@ TEST_F(FaultToleranceTest, ResumeRejectsCheckpointFromDifferentSplit) {
             std::string::npos);
 }
 
+// Checkpoints written before every entry point exported its training
+// source's cursor hold Train's batch order in a "batcher" section (uint64
+// count, int64 order[count]) and have no "source" section. They still resume
+// bitwise.
+TEST_F(FaultToleranceTest, LegacyBatcherSectionCheckpointResumesBitwise) {
+  auto prepared = SeparableData(200, 1);
+  auto split = EvenSplit(200);
+
+  TrainerConfig config = BaseConfig();
+  TinyGruModel model_a(3, 8, 2);
+  TrainResult result_a = Trainer(config).Train(&model_a, prepared, split,
+                                               data::Task::kMortality);
+  ASSERT_EQ(result_a.status, health::TrainStatus::kOk);
+
+  config.checkpoint_path = TempPath("legacy_layout.ckpt");
+  config.checkpoint_every = 1;
+  config.max_epochs = 3;
+  TinyGruModel model_b(3, 8, 2);
+  ASSERT_EQ(Trainer(config)
+                .Train(&model_b, prepared, split, data::Task::kMortality)
+                .epochs_run,
+            3);
+
+  // Rewrite the file into the older layout. The Batcher state is
+  // uint32 magic | uint64 count | int64 order[count] | int64 cursor.
+  std::vector<health::Section> sections;
+  std::string error;
+  ASSERT_TRUE(
+      health::ReadSectionedFile(config.checkpoint_path, &sections, &error))
+      << error;
+  const health::Section* source = health::FindSection(sections, "source");
+  ASSERT_NE(source, nullptr);
+  uint64_t count = 0;
+  ASSERT_GE(source->payload.size(), 12u);
+  std::memcpy(&count, source->payload.data() + 4, sizeof(count));
+  ASSERT_EQ(source->payload.size(), 12 + 8 * count + 8);
+  std::string batcher(reinterpret_cast<const char*>(&count), sizeof(count));
+  batcher.append(source->payload, 12, 8 * count);
+  std::vector<health::Section> legacy;
+  for (const char* name : {"progress", "model", "adam", "rng"}) {
+    const health::Section* section = health::FindSection(sections, name);
+    ASSERT_NE(section, nullptr) << name;
+    legacy.push_back(*section);
+  }
+  legacy.push_back({"batcher", batcher});
+  const health::Section* best = health::FindSection(sections, "best");
+  ASSERT_NE(best, nullptr);
+  legacy.push_back(*best);
+  ASSERT_TRUE(
+      health::WriteSectionedFile(config.checkpoint_path, legacy, &error))
+      << error;
+
+  config.max_epochs = 6;
+  config.resume = true;
+  TinyGruModel model_c(3, 8, 99);
+  TrainResult result_c = Trainer(config).Train(&model_c, prepared, split,
+                                               data::Task::kMortality);
+  ASSERT_EQ(result_c.status, health::TrainStatus::kOk)
+      << result_c.status_message;
+  EXPECT_EQ(nn::EncodeParameters(model_c), nn::EncodeParameters(model_a));
+  EXPECT_EQ(result_c.val.auc_pr, result_a.val.auc_pr);
+  EXPECT_EQ(result_c.val.auc_roc, result_a.val.auc_roc);
+  EXPECT_EQ(result_c.val.bce, result_a.val.bce);
+  EXPECT_EQ(result_c.test.auc_pr, result_a.test.auc_pr);
+  EXPECT_EQ(result_c.test.auc_roc, result_a.test.auc_roc);
+  EXPECT_EQ(result_c.test.bce, result_a.test.bce);
+  EXPECT_EQ(result_c.best_epoch, result_a.best_epoch);
+  EXPECT_EQ(result_c.epochs_run, result_a.epochs_run);
+}
+
 TEST_F(FaultToleranceTest, BitFlippedCheckpointIsRejectedOnResume) {
   auto prepared = SeparableData(100, 3);
   auto split = EvenSplit(100);
@@ -269,7 +453,7 @@ TEST_F(FaultToleranceTest, BitFlippedCheckpointIsRejectedOnResume) {
       << result.status_message;
 }
 
-TEST_F(FaultToleranceTest, PoisonedGradientTriggersRollbackAndRecovers) {
+TEST_P(FaultToleranceTest, PoisonedGradientTriggersRollbackAndRecovers) {
   auto prepared = SeparableData(200, 1);
   auto split = EvenSplit(200);
   health::FaultPlan plan;
@@ -279,8 +463,7 @@ TEST_F(FaultToleranceTest, PoisonedGradientTriggersRollbackAndRecovers) {
   TrainerConfig config = BaseConfig();
   config.max_epochs = 4;
   TinyGruModel model(3, 8, 2);
-  TrainResult result = Trainer(config).Train(&model, prepared, split,
-                                             data::Task::kMortality);
+  RunOutcome result = Runner(GetParam(), &prepared, split).Run(config, &model);
   EXPECT_EQ(result.status, health::TrainStatus::kRecovered);
   EXPECT_EQ(result.recoveries, 1);
   EXPECT_EQ(result.skipped_batches, 0);
@@ -290,7 +473,7 @@ TEST_F(FaultToleranceTest, PoisonedGradientTriggersRollbackAndRecovers) {
   EXPECT_GT(result.test.auc_roc, 0.5);
 }
 
-TEST_F(FaultToleranceTest, SkipPolicyDropsThePoisonedBatch) {
+TEST_P(FaultToleranceTest, SkipPolicyDropsThePoisonedBatch) {
   auto prepared = SeparableData(200, 1);
   auto split = EvenSplit(200);
   health::FaultPlan plan;
@@ -301,15 +484,14 @@ TEST_F(FaultToleranceTest, SkipPolicyDropsThePoisonedBatch) {
   config.max_epochs = 2;
   config.health.policy = health::RecoveryPolicy::kSkipBatch;
   TinyGruModel model(3, 8, 2);
-  TrainResult result = Trainer(config).Train(&model, prepared, split,
-                                             data::Task::kMortality);
+  RunOutcome result = Runner(GetParam(), &prepared, split).Run(config, &model);
   EXPECT_EQ(result.status, health::TrainStatus::kRecovered);
   EXPECT_EQ(result.skipped_batches, 1);
   EXPECT_EQ(result.recoveries, 0);
   EXPECT_EQ(result.epochs_run, 2);
 }
 
-TEST_F(FaultToleranceTest, AbortPolicyReturnsStructuredStatus) {
+TEST_P(FaultToleranceTest, AbortPolicyReturnsStructuredStatus) {
   auto prepared = SeparableData(200, 1);
   auto split = EvenSplit(200);
   health::FaultPlan plan;
@@ -319,8 +501,7 @@ TEST_F(FaultToleranceTest, AbortPolicyReturnsStructuredStatus) {
   TrainerConfig config = BaseConfig();
   config.health.policy = health::RecoveryPolicy::kAbort;
   TinyGruModel model(3, 8, 2);
-  TrainResult result = Trainer(config).Train(&model, prepared, split,
-                                             data::Task::kMortality);
+  RunOutcome result = Runner(GetParam(), &prepared, split).Run(config, &model);
   EXPECT_EQ(result.status, health::TrainStatus::kAborted);
   EXPECT_NE(result.status_message.find("non-finite"), std::string::npos)
       << result.status_message;
@@ -328,7 +509,7 @@ TEST_F(FaultToleranceTest, AbortPolicyReturnsStructuredStatus) {
       << result.status_message;
 }
 
-TEST_F(FaultToleranceTest, FailedCheckpointWriteDoesNotStopTraining) {
+TEST_P(FaultToleranceTest, FailedCheckpointWriteDoesNotStopTraining) {
   auto prepared = SeparableData(100, 3);
   auto split = EvenSplit(100);
   health::FaultPlan plan;
@@ -337,11 +518,10 @@ TEST_F(FaultToleranceTest, FailedCheckpointWriteDoesNotStopTraining) {
 
   TrainerConfig config = BaseConfig();
   config.max_epochs = 3;
-  config.checkpoint_path = TempPath("fail_write.ckpt");
+  config.checkpoint_path = CkptPath("fail_write");
   config.checkpoint_every = 1;
   TinyGruModel model(3, 4, 4);
-  TrainResult result = Trainer(config).Train(&model, prepared, split,
-                                             data::Task::kMortality);
+  RunOutcome result = Runner(GetParam(), &prepared, split).Run(config, &model);
   health::GlobalFaultInjector()->Disarm();
   EXPECT_EQ(result.status, health::TrainStatus::kOk);
   EXPECT_EQ(result.checkpoint_write_failures, 1);
@@ -378,6 +558,12 @@ TEST_F(FaultToleranceTest, TornCheckpointWriteIsRejectedAtResume) {
   EXPECT_EQ(resumed.status, health::TrainStatus::kCheckpointError);
   EXPECT_FALSE(resumed.status_message.empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(EntryPoints, FaultToleranceTest,
+                         testing::Values(EntryPoint::kTrain,
+                                         EntryPoint::kMultiTask,
+                                         EntryPoint::kStreamed),
+                         EntryPointName);
 
 }  // namespace
 }  // namespace train

@@ -314,6 +314,27 @@ TEST(ShardedLoaderTest, RestoreRejectsGarbage) {
   EXPECT_FALSE(loader.RestoreState(""));
   // Still usable after the rejected restores.
   EXPECT_FALSE(DrainEpoch(&loader).empty());
+
+  // A well-formed mid-epoch state whose cursor lies past the plan is
+  // rejected without touching the loader: the rest of the epoch and the
+  // next epoch match a loader that never saw it.
+  ShardedLoader untouched = fixture.MakeLoader();
+  ShardedLoader restored = fixture.MakeLoader();
+  Batch batch;
+  for (ShardedLoader* l : {&untouched, &restored}) {
+    l->StartEpoch();
+    ASSERT_TRUE(l->Next(&batch));
+  }
+  std::string state = restored.ExportState();
+  // The state ends with int64 cursor | int64 entry count.
+  const int64_t past_end = restored.NumBatchesPerEpoch() + 5;
+  ASSERT_GE(state.size(), 2 * sizeof(int64_t));
+  std::memcpy(&state[state.size() - 2 * sizeof(int64_t)], &past_end,
+              sizeof(past_end));
+  EXPECT_FALSE(restored.RestoreState(state));
+  ExpectStreamsEqual(DrainEpoch(&untouched, /*start_epoch=*/false),
+                     DrainEpoch(&restored, /*start_epoch=*/false));
+  ExpectStreamsEqual(DrainEpoch(&untouched), DrainEpoch(&restored));
 }
 
 TEST(ShardedLoaderTest, SplitFilterPartitionsTheCohort) {

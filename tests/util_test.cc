@@ -5,7 +5,6 @@
 
 #include "gtest/gtest.h"
 #include "util/argparse.h"
-#include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -164,32 +163,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += parent.Next() == child.Next();
   EXPECT_LT(same, 2);
-}
-
-TEST(FlagsTest, ParsesSeparateValueForm) {
-  const char* argv[] = {"prog", "--epochs", "12"};
-  Flags flags(3, const_cast<char**>(argv), {"epochs"});
-  EXPECT_EQ(flags.GetInt("epochs", 0), 12);
-}
-
-TEST(FlagsTest, ParsesEqualsForm) {
-  const char* argv[] = {"prog", "--lr=0.05"};
-  Flags flags(2, const_cast<char**>(argv), {"lr"});
-  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.0), 0.05);
-}
-
-TEST(FlagsTest, BareSwitchIsTrue) {
-  const char* argv[] = {"prog", "--full"};
-  Flags flags(2, const_cast<char**>(argv), {"full"});
-  EXPECT_TRUE(flags.GetBool("full", false));
-}
-
-TEST(FlagsTest, AbsentFlagUsesDefault) {
-  const char* argv[] = {"prog"};
-  Flags flags(1, const_cast<char**>(argv), {"epochs"});
-  EXPECT_EQ(flags.GetInt("epochs", 5), 5);
-  EXPECT_EQ(flags.GetString("epochs", "x"), "x");
-  EXPECT_FALSE(flags.Has("epochs"));
 }
 
 TEST(TableTest, AlignsColumns) {
