@@ -53,7 +53,9 @@ class BiDirectionalEmbedding : public nn::Module {
                          bool use_missing_embedding, Rng* rng);
 
   // x: [B, T, C] standardised values; mask: [B, T, C] observation mask.
-  // Returns embeddings [B, T, C, E].
+  // Returns embeddings [B, T, C, E], computed as one elementwise autograd
+  // node (one tape node under grad, none under NoGradScope) whose values
+  // and gradients equal the composed per-op chain bit for bit.
   ag::Variable Forward(const ag::Variable& x, const Tensor& mask) const;
 
   // Like Forward, but with the never-observed indicator supplied by the

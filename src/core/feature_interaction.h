@@ -13,9 +13,14 @@
 // algebraic refactoring
 //     alpha'_ij = W_i . (e_i ⊙ e_j) + b_i = (W_i ⊙ e_i) . e_j
 //     c_i       = sum_j alpha_ij (e_i ⊙ e_j) = e_i ⊙ sum_j alpha_ij e_j
-// so two batched matmuls and a diagonal-masked softmax produce identical
-// results with only a [B,T,C,C] score tensor. Tests verify the equivalence
-// against the naive pairwise reference.
+// so two per-step matrix products and a diagonal-masked softmax produce
+// identical results without the pairwise tensor. Forward runs as one
+// autograd node that walks (b, t) tiles and keeps only its output: the
+// [C, C] scores and α of a tile live in scratch, and the backward
+// recomputes each tile from the saved embeddings. Values and gradients are
+// bitwise equal to the composed autograd chain of that algebra
+// (tests/feature_block_test.cc); tests also check it against the naive
+// pairwise reference.
 
 #ifndef ELDA_CORE_FEATURE_INTERACTION_H_
 #define ELDA_CORE_FEATURE_INTERACTION_H_

@@ -194,14 +194,15 @@ int64_t NormalizeAxis(int64_t axis, int64_t rank) {
 // Determinism contract (DESIGN.md "Memory model"): every output element is
 // computed as
 //     acc = +0;  for p = 0..K-1 ascending:  acc = fma(A[i,p], B[p,j], acc)
-// — one fused multiply-add per k step, strictly in k order. Both production
-// kernels (the simple loops for small products and the packed cache-blocked
-// kernel for large ones) implement exactly this per-element sequence, as
-// does GemmReference. Packing, register tiling, and thread partitioning
-// only change *which elements* are computed when, never the arithmetic
-// inside one element, so results are bitwise identical across kernels,
-// tile shapes, and thread counts. fma is exactly rounded, so scalar
-// std::fma and vector FMA lanes agree bit-for-bit.
+// — one fused multiply-add per k step, strictly in k order. The production
+// kernels (the simple loops for small products, the packed cache-blocked
+// kernel for large ones, and the long-K kernel for narrow A^T B products)
+// implement exactly this per-element sequence, as does GemmReference.
+// Packing, register tiling, and thread partitioning only change *which
+// elements* are computed when, never the arithmetic inside one element, so
+// results are bitwise identical across kernels, tile shapes, and thread
+// counts. fma is exactly rounded, so scalar std::fma and vector FMA lanes
+// agree bit-for-bit.
 //
 // Operand storage conventions match the logical transposes: A is stored
 // [M,K] ([K,M] when trans_a), B is stored [K,N] ([N,K] when trans_b), C is
@@ -457,6 +458,93 @@ bool UsePackedGemm(int64_t m, int64_t k, int64_t n) {
 // Minimum flops worth one parallel chunk; below this, dispatch overhead
 // dominates and the work stays on fewer threads.
 constexpr int64_t kMatMulGrainFlops = 1 << 15;
+
+// Long-K kernel for C = A^T B with A stored [K, M], B stored [K, N], a long
+// contraction and a narrow output: the weight-gradient shape, e.g. a
+// [B*T*C, 2E]^T x [B*T*C, d] projection gradient with K ~ 1e5 and 192
+// outputs. Neither general kernel suits it (N is far below a packed panel,
+// and the simple TN loop re-reads C on every k step), and there is almost
+// nothing to split across threads except output chains. Each block of
+// kLongKRows output rows keeps all kLongKRows x N strict-k chains in
+// registers while streaming K once; blocks are split across threads,
+// never K, so every chain keeps its contract order.
+constexpr int64_t kLongKRows = 16;
+constexpr int64_t kLongKMaxN = 8;
+constexpr int64_t kLongKMinK = 1024;
+
+bool UseLongKGemm(int64_t k, int64_t n, bool trans_a, bool trans_b) {
+  return trans_a && !trans_b && n >= 1 && n <= kLongKMaxN && k >= kLongKMinK;
+}
+
+// Output rows [i0, i0 + rows) of C[M, N], rows <= kLongKRows.
+#if defined(__AVX512F__) && defined(__FMA__)
+
+// One zmm accumulator per output column: lane r is row i0 + r's chain.
+template <int64_t N>
+void GemmLongKBlock(const float* __restrict__ a, const float* __restrict__ b,
+                    float* __restrict__ c, int64_t m, int64_t k, int64_t i0,
+                    int64_t rows) {
+  static_assert(kLongKRows == 16, "one zmm of rows per block");
+  const __mmask16 live = rows == kLongKRows
+                             ? static_cast<__mmask16>(0xFFFF)
+                             : static_cast<__mmask16>((1u << rows) - 1u);
+  __m512 acc[N];
+  for (int64_t j = 0; j < N; ++j) acc[j] = _mm512_setzero_ps();
+  for (int64_t p = 0; p < k; ++p) {
+    const __m512 av = _mm512_maskz_loadu_ps(live, a + p * m + i0);
+    const float* brow = b + p * N;
+    for (int64_t j = 0; j < N; ++j) {
+      acc[j] = _mm512_fmadd_ps(av, _mm512_set1_ps(brow[j]), acc[j]);
+    }
+  }
+  alignas(64) float lanes[N][kLongKRows];
+  for (int64_t j = 0; j < N; ++j) _mm512_store_ps(lanes[j], acc[j]);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < N; ++j) c[(i0 + r) * N + j] = lanes[j][r];
+  }
+}
+
+#else
+
+template <int64_t N>
+void GemmLongKBlock(const float* __restrict__ a, const float* __restrict__ b,
+                    float* __restrict__ c, int64_t m, int64_t k, int64_t i0,
+                    int64_t rows) {
+  float acc[N][kLongKRows] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float* arow = a + p * m + i0;
+    const float* brow = b + p * N;
+    for (int64_t j = 0; j < N; ++j) {
+      const float bv = brow[j];
+      for (int64_t r = 0; r < rows; ++r) {
+        acc[j][r] = std::fma(arow[r], bv, acc[j][r]);
+      }
+    }
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < N; ++j) c[(i0 + r) * N + j] = acc[j][r];
+  }
+}
+
+#endif
+
+void GemmLongK(const float* a, const float* b, float* c, int64_t m, int64_t k,
+               int64_t n) {
+  using BlockFn = void (*)(const float*, const float*, float*, int64_t,
+                           int64_t, int64_t, int64_t);
+  static constexpr BlockFn kBlocks[kLongKMaxN] = {
+      GemmLongKBlock<1>, GemmLongKBlock<2>, GemmLongKBlock<3>,
+      GemmLongKBlock<4>, GemmLongKBlock<5>, GemmLongKBlock<6>,
+      GemmLongKBlock<7>, GemmLongKBlock<8>};
+  const BlockFn block = kBlocks[n - 1];
+  const int64_t blocks = (m + kLongKRows - 1) / kLongKRows;
+  par::ParallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
+    for (int64_t blk = b0; blk < b1; ++blk) {
+      const int64_t i0 = blk * kLongKRows;
+      block(a, b, c, m, k, i0, std::min(kLongKRows, m - i0));
+    }
+  });
+}
 
 }  // namespace
 
@@ -740,6 +828,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   out_shape.push_back(am);
   out_shape.push_back(bn);
   Tensor out = Tensor::Empty(out_shape);
+  if (batch == 1 && UseLongKGemm(ak, bn, trans_a, trans_b)) {
+    GemmLongK(a.data(), b.data(), out.data(), am, ak, bn);
+    return out;
+  }
   const bool packed = UsePackedGemm(am, ak, bn);
   if (!packed && !trans_b) {
     // The simple NN/TN kernels accumulate into C; the dot-style NT/TT and

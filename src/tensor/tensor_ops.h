@@ -93,8 +93,9 @@ Tensor SoftmaxLastAxisGrad(const Tensor& g, const Tensor& y);
 //
 // Determinism contract: every output element is acc = +0 then
 // acc = fma(a_ip, b_pj, acc) for p ascending — the sequence GemmReference
-// spells out below. The production kernels (simple and packed/blocked) are
-// bitwise identical to GemmReference for all inputs and thread counts.
+// spells out below. The production kernels (simple, packed/blocked, and the
+// long-K kernel for narrow A^T B products) are bitwise identical to
+// GemmReference for all inputs and thread counts.
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 

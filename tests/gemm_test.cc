@@ -1,7 +1,8 @@
 // Bitwise-identity tests for the GEMM kernels.
 //
 // MatMul's contract (tensor_ops.h) is that every kernel — the simple
-// small-product loops and the packed cache-blocked microkernel — produces
+// small-product loops, the packed cache-blocked microkernel and the long-K
+// kernel for narrow A^T B products — produces
 // output bit-for-bit equal to GemmReference for every shape, transpose
 // combination, and thread count. These tests enforce that with memcmp, not
 // tolerances: any reassociation, accumulator splitting, or zero-skipping
@@ -80,6 +81,27 @@ TEST(GemmBitwiseTest, PackedKernelShapes) {
   ExpectBitwiseMatch(65, 127, 63, true, true, 1004);
   ExpectBitwiseMatch(64, 101, 192, false, false, 1005);  // GRU gate shape
   ExpectBitwiseMatch(37, 24, 37, false, true, 1006);  // feature interaction
+}
+
+TEST(GemmBitwiseTest, LongKTransposedProducts) {
+  // A^T B with a long contraction and at most 48 x 8 outputs: the
+  // weight-gradient shape served by the long-K kernel, across its row-block
+  // edges (16), every output width it specialises (1..8), one width past it
+  // and contractions on both sides of its K threshold.
+  uint64_t seed = 4001;
+  for (int64_t m : {1, 7, 16, 33, 48}) {
+    for (int64_t n : {1, 4, 5, 8, 9}) {
+      for (int64_t k : {1023, 1024, 5003}) {
+        ExpectBitwiseMatch(m, k, n, /*ta=*/true, /*tb=*/false, seed++);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  ExpectBitwiseMatch(48, 120000, 8, /*ta=*/true, /*tb=*/false, 4997);
+  ExpectBitwiseMatch(33, 120000, 5, /*ta=*/true, /*tb=*/false, 4998);
+  // The feature-interaction projection gradient dp = r^T g at B=64, T=48,
+  // C=37, E=24, d=4.
+  ExpectBitwiseMatch(48, 113664, 4, /*ta=*/true, /*tb=*/false, 4999);
 }
 
 TEST(GemmBitwiseTest, BatchedMatchesPerItemReference) {

@@ -589,9 +589,9 @@ TEST(RecurrenceTest, PerModelTapeBudgetsHold) {
       {"Dipole-l", 62},      {"Dipole-g", 64},
       {"Dipole-c", 68},      {"StageNet", 55},
       {"GRU-D", 60},         {"ConCare", 115},
-      {"ELDA-Net-T", 38},    {"ELDA-Net-Fbi", 50},
-      {"ELDA-Net-Ffm", 44},  {"ELDA-Net", 65},
-      {"ELDA-Net-Fbi*", 52}, {"ELDA-Net-Ffm*", 46},
+      {"ELDA-Net-T", 34},    {"ELDA-Net-Fbi", 25},
+      {"ELDA-Net-Ffm", 25},  {"ELDA-Net", 39},
+      {"ELDA-Net-Fbi*", 25}, {"ELDA-Net-Ffm*", 25},
   };
   const int64_t features = 5;
   const auto prepared = RandomSamples(8, 6, features, 93);
