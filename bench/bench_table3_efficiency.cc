@@ -95,18 +95,20 @@ int main(int argc, char** argv) {
   bench::ResolveBenchScale(values, &scale,
                            /*default_admissions=*/256,
                            /*default_epochs=*/1);
+  const int64_t par_threads = par::NumThreads();
   bench::PrintHeader(
       "Table III: parameters and runtime",
       "Paper columns: Keras/TF on Xeon W-2133 + RTX 2080 Ti; measured\n"
-      "columns: this repo's engine on one CPU core. Compare orderings, not\n"
-      "absolute values. (Paper's training column is seconds per epoch-batch\n"
-      "group; ours is seconds per 64-admission batch.)");
+      "columns: this repo's engine on " +
+          std::to_string(par_threads) +
+          " CPU thread(s) (--threads). Compare orderings,\n"
+          "not absolute values. (Paper's training column is seconds per\n"
+          "epoch-batch group; ours is seconds per 64-admission batch.)");
 
   synth::CohortConfig config = bench::ScaledPhysioNet(scale);
   data::EmrDataset cohort = synth::GenerateCohort(config);
   train::PreparedExperiment experiment(cohort, data::Task::kMortality);
 
-  const int64_t par_threads = par::NumThreads();
   TablePrinter table({"model", "params (paper)", "params (ours)",
                       "train s/batch (paper)", "train s/batch (ours)",
                       "predict ms (paper)", "infer ms B=1",

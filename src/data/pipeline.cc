@@ -136,17 +136,23 @@ const std::vector<int64_t>* Batch::LengthsOrNull() const {
 }
 
 Batch MakeBatch(const std::vector<PreparedSample>& prepared,
-                const std::vector<int64_t>& indices, Task task) {
+                const std::vector<int64_t>& indices, Task task,
+                int64_t steps) {
   ELDA_CHECK(!indices.empty());
   const int64_t features = prepared[indices[0]].x.shape(1);
   const int64_t batch = static_cast<int64_t>(indices.size());
-  // Batch T is the longest grid present; shorter samples pad with zeros.
-  // Uniform cohorts hit the exact pre-ragged layout (full-grid copies over a
-  // zero-initialised tensor), so the dense path is bitwise unchanged.
-  int64_t steps = 0;
+  // Batch T is the longest grid present (or the requested `steps`); shorter
+  // samples pad with zeros. Uniform cohorts hit the exact pre-ragged layout
+  // (full-grid copies over a zero-initialised tensor), so the dense path is
+  // bitwise unchanged.
+  int64_t longest = 0;
   for (int64_t idx : indices) {
-    steps = std::max(steps, prepared[idx].x.shape(0));
+    longest = std::max(longest, prepared[idx].x.shape(0));
   }
+  ELDA_CHECK(steps <= 0 || steps >= longest)
+      << "cannot pad to " << steps << " steps a batch whose longest grid has "
+      << longest;
+  steps = std::max(steps, longest);
   Batch out;
   out.x = Tensor({batch, steps, features});
   out.mask = Tensor({batch, steps, features});
@@ -201,6 +207,40 @@ Batch MakeBatch(const std::vector<PreparedSample>& prepared,
         out.step_mask.at({b, t}) = 1.0f;
       }
     }
+  }
+  return out;
+}
+
+namespace {
+
+// Zero-copy view of rows [begin, end) along axis 0; undefined tensors stay
+// undefined.
+Tensor SliceFirstAxis(const Tensor& t, int64_t begin, int64_t end) {
+  return t.defined() ? t.ViewRows(begin, end - begin) : t;
+}
+
+}  // namespace
+
+Batch SliceRows(const Batch& batch, int64_t begin, int64_t end) {
+  ELDA_CHECK(0 <= begin && begin < end && end <= batch.x.shape(0));
+  Batch out;
+  out.x = SliceFirstAxis(batch.x, begin, end);
+  out.mask = SliceFirstAxis(batch.mask, begin, end);
+  out.delta = SliceFirstAxis(batch.delta, begin, end);
+  out.y = SliceFirstAxis(batch.y, begin, end);
+  out.y_los = SliceFirstAxis(batch.y_los, begin, end);
+  out.y_decomp = SliceFirstAxis(batch.y_decomp, begin, end);
+  out.y_pheno = SliceFirstAxis(batch.y_pheno, begin, end);
+  if (!batch.lengths.empty()) {
+    out.lengths.assign(batch.lengths.begin() + begin,
+                       batch.lengths.begin() + end);
+  }
+  if (!batch.sample_indices.empty()) {
+    out.sample_indices.assign(batch.sample_indices.begin() + begin,
+                              batch.sample_indices.begin() + end);
+  }
+  if (!out.UniformLength()) {
+    out.step_mask = SliceFirstAxis(batch.step_mask, begin, end);
   }
   return out;
 }

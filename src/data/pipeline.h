@@ -128,13 +128,24 @@ struct Batch {
 };
 
 // Assembles one batch from `prepared` at the given indices for `task`.
+// `steps` > 0 pads the batch to that many steps instead of its longest grid
+// (it must be at least that long): a row slice of a padded minibatch, built
+// on its own, keeps the minibatch's step count this way.
 Batch MakeBatch(const std::vector<PreparedSample>& prepared,
-                const std::vector<int64_t>& indices, Task task);
+                const std::vector<int64_t>& indices, Task task,
+                int64_t steps = 0);
+
+// Rows [begin, end) of `batch` as zero-copy views of its storage: the same
+// step count, with each row's tensors, labels, length and sample index. The
+// step mask is kept when the slice is ragged, so the result equals
+// MakeBatch over those rows padded to the batch's step count.
+Batch SliceRows(const Batch& batch, int64_t begin, int64_t end);
 
 // An epoch-oriented stream of mini-batches. Implemented by the in-RAM
 // Batcher and the out-of-core ShardedLoader; the trainer's training loop
 // consumes this interface (Train and TrainMultiTask through a Batcher,
-// TrainStreamed through the caller's source).
+// TrainStreamed through the caller's source), and PredictSource scores one.
+// Next is called from one thread at a time.
 class BatchSource {
  public:
   virtual ~BatchSource() = default;

@@ -21,19 +21,6 @@ namespace elda {
 namespace train {
 namespace {
 
-std::vector<float> LabelsFor(const std::vector<data::PreparedSample>& prepared,
-                             const std::vector<int64_t>& indices,
-                             data::Task task) {
-  std::vector<float> labels;
-  labels.reserve(indices.size());
-  for (int64_t i : indices) {
-    labels.push_back(task == data::Task::kMortality
-                         ? prepared[i].mortality_label
-                         : prepared[i].los_gt7_label);
-  }
-  return labels;
-}
-
 bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
@@ -340,6 +327,201 @@ std::unique_ptr<data::Batcher> SplitBatcher(
                                          task, rng);
 }
 
+// -- The scoring loop ----------------------------------------------------------
+
+// One padded minibatch of a scoring pass. A BatchSource minibatch arrives
+// materialized in `batch`; an index-list minibatch carries its rows in
+// `indices` and is assembled by the work items that score it, so MakeBatch
+// runs on the pool, not on the calling thread.
+struct Minibatch {
+  data::Batch batch;
+  const std::vector<data::PreparedSample>* prepared = nullptr;
+  std::vector<int64_t> indices;
+  data::Task task = data::Task::kMortality;
+  int64_t rows = 0;
+  int64_t steps = 0;  // padded step count, kept by every row slice
+
+  // Rows [begin, end), padded to `steps`.
+  data::Batch Rows(int64_t begin, int64_t end) const {
+    if (prepared != nullptr) {
+      return data::MakeBatch(
+          *prepared, {indices.begin() + begin, indices.begin() + end}, task,
+          steps);
+    }
+    if (begin == 0 && end == rows) return batch;
+    return data::SliceRows(batch, begin, end);
+  }
+};
+
+// Produces the pass's minibatches in source order; false at the end.
+using MinibatchStream = std::function<bool(Minibatch*)>;
+
+// `indices` in minibatches of `batch_size` rows.
+MinibatchStream IndexMinibatches(
+    const std::vector<data::PreparedSample>& prepared,
+    const std::vector<int64_t>& indices, data::Task task, int64_t batch_size) {
+  batch_size = std::max<int64_t>(1, batch_size);
+  return [&prepared, &indices, task, batch_size,
+          start = size_t{0}](Minibatch* mb) mutable {
+    if (start >= indices.size()) return false;
+    const size_t end =
+        std::min(indices.size(), start + static_cast<size_t>(batch_size));
+    mb->prepared = &prepared;
+    mb->task = task;
+    mb->indices.assign(indices.begin() + start, indices.begin() + end);
+    mb->rows = static_cast<int64_t>(end - start);
+    for (int64_t i : mb->indices) {
+      mb->steps = std::max(mb->steps, prepared[i].x.shape(0));
+    }
+    start = end;
+    return true;
+  };
+}
+
+// One epoch of `source`, as it batches it.
+MinibatchStream SourceMinibatches(data::BatchSource* source) {
+  source->StartEpoch();
+  return [source](Minibatch* mb) {
+    if (!source->Next(&mb->batch)) return false;
+    mb->rows = mb->batch.x.shape(0);
+    mb->steps = mb->batch.x.shape(1);
+    return true;
+  };
+}
+
+// What one scoring pass collects, one stream per head (Predict has one).
+struct Scored {
+  explicit Scored(size_t streams)
+      : scores(streams), labels(streams), valid(streams) {}
+  void Append(const Scored& other) {
+    for (size_t h = 0; h < scores.size(); ++h) {
+      scores[h].insert(scores[h].end(), other.scores[h].begin(),
+                       other.scores[h].end());
+      labels[h].insert(labels[h].end(), other.labels[h].begin(),
+                       other.labels[h].end());
+      valid[h].insert(valid[h].end(), other.valid[h].begin(),
+                      other.valid[h].end());
+    }
+  }
+  std::vector<std::vector<float>> scores, labels;
+  std::vector<std::vector<uint8_t>> valid;
+};
+
+// Scores one batch graph-free under `ctx`, appending to `out`.
+using ScoreFn =
+    std::function<void(const data::Batch&, nn::ForwardContext*, Scored*)>;
+
+// Rows [begin, end) of window minibatch `minibatch`.
+struct WorkItem {
+  size_t minibatch = 0;
+  int64_t begin = 0;
+  int64_t end = 0;
+};
+
+// Cuts a window of minibatches into work items for `threads` threads, in
+// source order. A window of at least `threads` minibatches is scored whole;
+// a shorter one, such as a one-minibatch validation split or a source's
+// last batches, cuts each minibatch into ceil(threads / n) equal row slices
+// (never more than its rows), so it still fills the pool.
+std::vector<WorkItem> PlanWorkItems(const std::vector<Minibatch>& window,
+                                    int64_t threads) {
+  const int64_t n = static_cast<int64_t>(window.size());
+  const int64_t cuts = n >= threads ? 1 : (threads + n - 1) / n;
+  std::vector<WorkItem> items;
+  for (size_t m = 0; m < window.size(); ++m) {
+    const int64_t rows = window[m].rows;
+    const int64_t slices = std::min(rows, cuts);
+    for (int64_t k = 0; k < slices; ++k) {
+      items.push_back({m, rows * k / slices, rows * (k + 1) / slices});
+    }
+  }
+  return items;
+}
+
+// The scoring loop behind Predict, PredictSource and EvaluateMultiTask.
+// Only the calling thread pulls minibatches from `next`, a window of up to
+// 2 x NumThreads() at a time: a source whose producer itself needs the pool
+// (ShardedLoader's prefetch thread decodes with ParallelFor) must never be
+// waited on from inside pool work. The window's work items (PlanWorkItems)
+// are scored graph-free on the pool, each worker with its own context, and
+// their outputs are appended in source order. Row slices keep their
+// minibatch's padding and models score rows independently, so every layout
+// and thread count yields the same bits as the serial path. That path —
+// `parallel` off, one thread, or a capture sink, which is shared
+// last-writer-wins state — scores whole minibatches one by one on the
+// calling thread, its kernels still free to use the pool.
+Scored RunScoringLoop(const InferenceOptions& options, size_t streams,
+                      const MinibatchStream& next, const ScoreFn& score) {
+  par::ScopedNumThreads scoped_threads(options.num_threads);
+  const int64_t threads = par::NumThreads();
+  const bool parallel =
+      options.parallel && options.capture == nullptr && threads > 1;
+  const size_t window_cap = parallel ? static_cast<size_t>(2 * threads) : 1;
+  Scored out(streams);
+  std::vector<Minibatch> window;
+  for (bool more = true; more;) {
+    window.clear();
+    while (window.size() < window_cap) {
+      Minibatch mb;
+      more = next(&mb);
+      if (!more) break;
+      window.push_back(std::move(mb));
+    }
+    if (window.empty()) break;
+    if (!parallel) {
+      ag::NoGradScope no_grad;
+      nn::ForwardContext ctx;
+      ctx.capture = options.capture;
+      score(window[0].Rows(0, window[0].rows), &ctx, &out);
+      continue;
+    }
+    const std::vector<WorkItem> items = PlanWorkItems(window, threads);
+    std::vector<Scored> scored(items.size(), Scored(streams));
+    par::ParallelFor(
+        0, static_cast<int64_t>(items.size()), /*grain=*/1,
+        [&](int64_t i0, int64_t i1) {
+          // Grad mode is a thread-local flag, so the scope must be opened
+          // on each worker, not around the ParallelFor call.
+          ag::NoGradScope no_grad;
+          nn::ForwardContext ctx;  // inference mode, one per worker range
+          for (int64_t i = i0; i < i1; ++i) {
+            const WorkItem& item = items[static_cast<size_t>(i)];
+            score(window[item.minibatch].Rows(item.begin, item.end), &ctx,
+                  &scored[static_cast<size_t>(i)]);
+          }
+        });
+    for (const Scored& s : scored) out.Append(s);
+  }
+  return out;
+}
+
+// Sigmoid of the model's terminal logits, labelled with batch.y.
+ScoreFn TerminalScores(const SequenceModel* model) {
+  return [model](const data::Batch& batch, nn::ForwardContext* ctx,
+                 Scored* out) {
+    const Tensor probs = Sigmoid(model->Forward(batch, ctx).value());
+    for (int64_t i = 0; i < probs.size(); ++i) {
+      out->scores[0].push_back(probs[i]);
+      out->labels[0].push_back(batch.y[i]);
+    }
+  };
+}
+
+PredictResult ToPredictResult(Scored scored) {
+  PredictResult result;
+  result.scores = std::move(scored.scores[0]);
+  result.labels = std::move(scored.labels[0]);
+  return result;
+}
+
+EvalResult Metrics(const PredictResult& predicted) {
+  EvalResult result;
+  result.bce = metrics::BceLoss(predicted.scores, predicted.labels);
+  result.auc_roc = metrics::AucRoc(predicted.scores, predicted.labels);
+  result.auc_pr = metrics::AucPr(predicted.scores, predicted.labels);
+  return result;
+}
+
 }  // namespace
 
 PredictResult Trainer::Predict(
@@ -347,48 +529,10 @@ PredictResult Trainer::Predict(
     const std::vector<data::PreparedSample>& prepared,
     const std::vector<int64_t>& indices, data::Task task,
     const InferenceOptions& options) {
-  PredictResult result;
-  result.labels = LabelsFor(prepared, indices, task);
-  result.scores.assign(indices.size(), 0.0f);
-  if (indices.empty()) return result;
-
-  const int64_t batch_size = std::max<int64_t>(1, options.batch_size);
-  const int64_t count = static_cast<int64_t>(indices.size());
-  const int64_t num_batches = (count + batch_size - 1) / batch_size;
-
-  // Minibatch composition depends only on batch_size, and every minibatch
-  // writes a disjoint score range, so the parallel path is bitwise
-  // identical to running the batches back-to-back.
-  auto run_batch = [&](int64_t b, nn::ForwardContext* ctx) {
-    const int64_t start = b * batch_size;
-    const int64_t end = std::min(count, start + batch_size);
-    std::vector<int64_t> chunk(indices.begin() + start, indices.begin() + end);
-    data::Batch batch = data::MakeBatch(prepared, chunk, task);
-    Tensor probs = Sigmoid(model->Forward(batch, ctx).value());
-    for (int64_t i = 0; i < probs.size(); ++i) {
-      result.scores[static_cast<size_t>(start + i)] = probs[i];
-    }
-  };
-  // A capture sink is shared last-writer-wins state, so capturing forces
-  // the serial path regardless of options.parallel.
-  if (options.parallel && options.capture == nullptr) {
-    par::ParallelFor(
-        0, num_batches, /*grain=*/1,
-        [&](int64_t b0, int64_t b1) {
-          // Grad mode is a thread-local flag, so the scope must be opened
-          // on each worker, not around the ParallelFor call.
-          ag::NoGradScope no_grad;
-          nn::ForwardContext ctx;  // inference mode, one per worker range
-          for (int64_t b = b0; b < b1; ++b) run_batch(b, &ctx);
-        },
-        options.num_threads);
-  } else {
-    ag::NoGradScope no_grad;
-    nn::ForwardContext ctx;
-    ctx.capture = options.capture;
-    for (int64_t b = 0; b < num_batches; ++b) run_batch(b, &ctx);
-  }
-  return result;
+  return ToPredictResult(RunScoringLoop(
+      options, 1,
+      IndexMinibatches(prepared, indices, task, options.batch_size),
+      TerminalScores(model)));
 }
 
 EvalResult Trainer::Evaluate(
@@ -396,13 +540,7 @@ EvalResult Trainer::Evaluate(
     const std::vector<data::PreparedSample>& prepared,
     const std::vector<int64_t>& indices, data::Task task,
     const InferenceOptions& options) {
-  const PredictResult predicted =
-      Predict(model, prepared, indices, task, options);
-  EvalResult result;
-  result.bce = metrics::BceLoss(predicted.scores, predicted.labels);
-  result.auc_roc = metrics::AucRoc(predicted.scores, predicted.labels);
-  result.auc_pr = metrics::AucPr(predicted.scores, predicted.labels);
-  return result;
+  return Metrics(Predict(model, prepared, indices, task, options));
 }
 
 TrainResult Trainer::Train(SequenceModel* model,
@@ -465,34 +603,28 @@ MultiTaskEvalResult Trainer::EvaluateMultiTask(
   for (int64_t h = 0; h < num_heads; ++h) {
     result.tasks.push_back(heads->head(h).task_name());
   }
-  // Flattened (score, label, valid) accumulators per head, across batches.
-  std::vector<std::vector<float>> scores(num_heads), labels(num_heads);
-  std::vector<std::vector<uint8_t>> valid(num_heads);
-
-  par::ScopedNumThreads scoped_threads(options.num_threads);
-  ag::NoGradScope no_grad;
-  nn::ForwardContext ctx;
-  ctx.capture = options.capture;
   const bool want_steps = heads->wants_steps();
-  const int64_t batch_size = std::max<int64_t>(1, options.batch_size);
-  const int64_t count = static_cast<int64_t>(indices.size());
-  for (int64_t start = 0; start < count; start += batch_size) {
-    const int64_t end = std::min(count, start + batch_size);
-    std::vector<int64_t> chunk(indices.begin() + start, indices.begin() + end);
-    data::Batch batch = data::MakeBatch(prepared, chunk, task);
-    Encoding enc = model->Encode(batch, &ctx, want_steps);
-    for (int64_t h = 0; h < num_heads; ++h) {
-      const TaskHead& head = heads->head(h);
-      Tensor probs = Sigmoid(head.Logits(*model, enc, &ctx).value());
-      head.Collect(*model, probs, batch, &scores[h], &labels[h], &valid[h]);
-    }
-  }
+  const Scored scored = RunScoringLoop(
+      options, static_cast<size_t>(num_heads),
+      IndexMinibatches(prepared, indices, task, options.batch_size),
+      [&](const data::Batch& batch, nn::ForwardContext* ctx, Scored* out) {
+        const Encoding enc = model->Encode(batch, ctx, want_steps);
+        for (int64_t h = 0; h < num_heads; ++h) {
+          const TaskHead& head = heads->head(h);
+          const Tensor probs = Sigmoid(head.Logits(*model, enc, ctx).value());
+          head.Collect(*model, probs, batch, &out->scores[h],
+                       &out->labels[h], &out->valid[h]);
+        }
+      });
   result.per_task.resize(num_heads);
   for (int64_t h = 0; h < num_heads; ++h) {
     EvalResult& er = result.per_task[h];
-    er.bce = metrics::BceLoss(scores[h], labels[h], valid[h]);
-    er.auc_roc = metrics::AucRoc(scores[h], labels[h], valid[h]);
-    er.auc_pr = metrics::AucPr(scores[h], labels[h], valid[h]);
+    er.bce = metrics::BceLoss(scored.scores[h], scored.labels[h],
+                              scored.valid[h]);
+    er.auc_roc = metrics::AucRoc(scored.scores[h], scored.labels[h],
+                                 scored.valid[h]);
+    er.auc_pr = metrics::AucPr(scored.scores[h], scored.labels[h],
+                               scored.valid[h]);
     result.mean_auc_pr += er.auc_pr / num_heads;
   }
   return result;
@@ -546,32 +678,14 @@ PredictResult Trainer::PredictSource(const SequenceModel* model,
                                      data::BatchSource* source,
                                      const InferenceOptions& options) {
   ELDA_CHECK(source != nullptr);
-  par::ScopedNumThreads scoped_threads(options.num_threads);
-  PredictResult result;
-  ag::NoGradScope no_grad;
-  nn::ForwardContext ctx;
-  ctx.capture = options.capture;
-  source->StartEpoch();
-  data::Batch batch;
-  while (source->Next(&batch)) {
-    Tensor probs = Sigmoid(model->Forward(batch, &ctx).value());
-    for (int64_t i = 0; i < probs.size(); ++i) {
-      result.scores.push_back(probs[i]);
-      result.labels.push_back(batch.y[i]);
-    }
-  }
-  return result;
+  return ToPredictResult(RunScoringLoop(options, 1, SourceMinibatches(source),
+                                        TerminalScores(model)));
 }
 
 EvalResult Trainer::EvaluateSource(const SequenceModel* model,
                                    data::BatchSource* source,
                                    const InferenceOptions& options) {
-  const PredictResult predicted = PredictSource(model, source, options);
-  EvalResult result;
-  result.bce = metrics::BceLoss(predicted.scores, predicted.labels);
-  result.auc_roc = metrics::AucRoc(predicted.scores, predicted.labels);
-  result.auc_pr = metrics::AucPr(predicted.scores, predicted.labels);
-  return result;
+  return Metrics(PredictSource(model, source, options));
 }
 
 TrainResult Trainer::TrainStreamed(SequenceModel* model,

@@ -60,21 +60,27 @@ struct TrainerConfig {
 // (serve/service.h). One struct so a knob added for one path exists on the
 // other — there is deliberately no serve-local options type.
 struct InferenceOptions {
-  // Minibatch size: eval-mode batch for Predict, the coalescing cap for the
-  // micro-batcher (most observations arriving within one flush window that
-  // are scored as a single StepForward call).
+  // Minibatch size: eval-mode batch for Predict / EvaluateMultiTask (a
+  // BatchSource batches itself), the coalescing cap for the micro-batcher
+  // (most observations arriving within one flush window that are scored as
+  // a single StepForward call). The minibatch is the unit of padding: a
+  // ragged minibatch pads every stay to its longest grid, and for every
+  // registry model except GRU and GRU-D a stay's score depends on that
+  // padded length. So on ragged cohorts scores change with batch_size; on
+  // fixed-length cohorts they do not. Threads and `parallel` never change
+  // them.
   int64_t batch_size = 256;
-  // Thread cap for the elda::par kernels during this call; 0 = the global
-  // setting (--threads / ELDA_THREADS / hardware).
+  // Thread count for this call (kernels and the scoring pool); 0 = the
+  // global setting (--threads / ELDA_THREADS / hardware).
   int64_t num_threads = 0;
-  // Evaluate independent minibatches concurrently on the elda::par pool.
-  // Minibatch composition is fixed by batch_size and scores are written to
-  // disjoint ranges, so results are bitwise identical to the serial path.
+  // Score minibatches, or row slices of one, concurrently on the elda::par
+  // pool. Slices keep their minibatch's padding and every work item writes
+  // its own outputs, so results are bitwise identical to the serial path.
   // Ignored by the micro-batcher (one scoring thread by construction).
   bool parallel = true;
   // Optional attention-capture sink threaded into every ForwardContext on
-  // this path (nullptr = capture nothing). Forces Predict onto the serial
-  // path: concurrent workers would interleave last-writer-wins captures.
+  // this path (nullptr = capture nothing). Forces the serial path:
+  // concurrent workers would interleave last-writer-wins captures.
   nn::CaptureSink* capture = nullptr;
 };
 
@@ -155,9 +161,10 @@ class Trainer {
   // Runs the model graph-free (ag::NoGradScope, inference-mode
   // ForwardContext) over the given index set in minibatches and returns
   // sigmoid probabilities plus the aligned task labels, both in `indices`
-  // order. The single batching loop behind every evaluation and scoring
-  // path; independent minibatches are evaluated across the elda::par pool
-  // when `options.parallel` is set, each worker with its own context.
+  // order. Predict, PredictSource and EvaluateMultiTask share one scoring
+  // loop: with `options.parallel` set it scores windows of minibatches, or
+  // row slices of them, across the elda::par pool, each worker with its
+  // own context.
   static PredictResult Predict(const SequenceModel* model,
                                const std::vector<data::PreparedSample>& prepared,
                                const std::vector<int64_t>& indices,
@@ -190,10 +197,11 @@ class Trainer {
       const data::SplitIndices& split,
       data::Task task = data::Task::kMortality) const;
 
-  // Graph-free multi-task evaluation: one encoding bundle per minibatch,
+  // Graph-free multi-task evaluation: one encoding bundle per work item,
   // every head scored over it, masked metrics per head. Minibatch
-  // composition matches Predict(), and head logits are batching-independent,
-  // so scores are bitwise stable across batch sizes.
+  // composition and scheduling match Predict(); on fixed-length cohorts head
+  // logits are batching-independent, so scores are bitwise stable across
+  // batch sizes.
   static MultiTaskEvalResult EvaluateMultiTask(
       const SequenceModel* model, const MultiHead* heads,
       const std::vector<data::PreparedSample>& prepared,
@@ -211,7 +219,9 @@ class Trainer {
   // task/split arguments are needed.
 
   // One full pass over `source` (StartEpoch + drain), graph-free; scores and
-  // labels in the source's epoch order.
+  // labels in the source's epoch order. Only the calling thread calls
+  // `source->Next`, so a source whose producer uses the pool itself
+  // (ShardedLoader's prefetch thread) is safe to score in parallel.
   static PredictResult PredictSource(const SequenceModel* model,
                                      data::BatchSource* source,
                                      const InferenceOptions& options = {});

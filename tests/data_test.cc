@@ -1,4 +1,7 @@
+#include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "data/emr.h"
@@ -243,6 +246,70 @@ TEST(BatchTest, BatchRowsMatchPreparedSamples) {
   // Row 0 of the batch is prepared sample 1.
   Tensor row0 = Slice(batch.x, 0, 0, 1).Reshape({4, 2});
   EXPECT_TRUE(AllClose(row0, prepared[1].x));
+}
+
+// Ragged prepared samples of the given lengths, with multi-task labels.
+std::vector<PreparedSample> RaggedPrepared(const std::vector<int64_t>& lengths) {
+  Rng rng(17);
+  std::vector<PreparedSample> prepared;
+  for (int64_t len : lengths) {
+    PreparedSample p;
+    p.x = Tensor::Normal({len, 3}, 0.0f, 1.0f, &rng);
+    p.mask = Tensor::Ones({len, 3});
+    p.delta = Tensor::Normal({len, 3}, 0.0f, 1.0f, &rng);
+    p.length = len;
+    p.mortality_label = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
+    p.los_gt7_label = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
+    p.decomp_labels.assign(static_cast<size_t>(len), 1.0f);
+    p.phenotype_labels.assign(kNumPhenotypes, 0.5f);
+    prepared.push_back(std::move(p));
+  }
+  return prepared;
+}
+
+void ExpectSameBits(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (int64_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::memcmp(a.data() + i, b.data() + i, sizeof(float)), 0)
+        << "i=" << i;
+  }
+}
+
+TEST(BatchTest, SliceRowsEqualsMakeBatchPaddedToTheBatchSteps) {
+  const auto prepared = RaggedPrepared({3, 7, 5, 7, 2});
+  const Batch whole =
+      MakeBatch(prepared, {0, 1, 2, 3, 4}, Task::kMortality);
+  ASSERT_EQ(whole.x.shape(1), 7);
+  ASSERT_GT(whole.step_mask.size(), 0);
+  // Rows {1, 3} are full-length: that slice is uniform, so it carries no
+  // step mask, exactly as MakeBatch builds it.
+  for (const auto& range : std::vector<std::pair<int64_t, int64_t>>{
+           {0, 2}, {1, 2}, {3, 4}, {2, 5}, {0, 5}}) {
+    SCOPED_TRACE(std::to_string(range.first) + ".." +
+                 std::to_string(range.second));
+    std::vector<int64_t> rows;
+    for (int64_t r = range.first; r < range.second; ++r) rows.push_back(r);
+    const Batch slice = SliceRows(whole, range.first, range.second);
+    const Batch built = MakeBatch(prepared, rows, Task::kMortality,
+                                  /*steps=*/whole.x.shape(1));
+    ExpectSameBits(slice.x, built.x);
+    ExpectSameBits(slice.mask, built.mask);
+    ExpectSameBits(slice.delta, built.delta);
+    ExpectSameBits(slice.y, built.y);
+    ExpectSameBits(slice.y_los, built.y_los);
+    ExpectSameBits(slice.y_decomp, built.y_decomp);
+    ExpectSameBits(slice.y_pheno, built.y_pheno);
+    ExpectSameBits(slice.step_mask, built.step_mask);
+    EXPECT_EQ(slice.lengths, built.lengths);
+    EXPECT_EQ(slice.sample_indices, built.sample_indices);
+    EXPECT_EQ(slice.UniformLength(), built.UniformLength());
+  }
+}
+
+TEST(BatchTest, MakeBatchRejectsPaddingShorterThanTheLongestGrid) {
+  const auto prepared = RaggedPrepared({3, 7});
+  EXPECT_DEATH(MakeBatch(prepared, {0, 1}, Task::kMortality, /*steps=*/5),
+               "cannot pad");
 }
 
 TEST(BatcherTest, CoversEveryIndexOncePerEpoch) {

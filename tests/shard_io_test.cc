@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "autograd/ops.h"
+#include "baselines/baselines.h"
 #include "data/pipeline.h"
 #include "data/sharded_loader.h"
 #include "gtest/gtest.h"
@@ -19,6 +21,7 @@
 #include "nn/linear.h"
 #include "par/par.h"
 #include "synth/simulator.h"
+#include "tensor/tensor_ops.h"
 #include "train/trainer.h"
 
 namespace elda {
@@ -530,6 +533,66 @@ TEST(TrainStreamedTest, CheckpointResumeIsBitwise) {
                             resumed_params[i].size() * sizeof(float)),
                 0)
           << "parameter " << i;
+    }
+  }
+}
+
+// ---- Scoring a streamed source ---------------------------------------------
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// PredictSource over a prefetching loader. The prefetch thread decodes rows
+// with ParallelFor on the same pool the scoring loop fills, so only the
+// calling thread may pull batches; were pool work to wait on Next(), this
+// test would deadlock, and the ctest TIMEOUT on this binary turns that hang
+// into a failure. The reference forwards each batch of the drained stream
+// one by one, so scores must match it bitwise and in stream order. 150 stays
+// in bucketed batches of 16 make 11 batches: four threads score a full
+// window of 8 batches, then a window of 3 cut into row slices.
+TEST(PredictSourceTest, PrefetchingLoaderScoresLikeTheSerialPath) {
+  const LoaderFixture fixture("predict_source", /*admissions=*/150);
+  const int64_t features =
+      static_cast<int64_t>(fixture.standardizer.means().size());
+  for (const std::string& name : {std::string("GRU"),
+                                  std::string("ELDA-Net")}) {
+    SCOPED_TRACE(name);
+    auto model = baselines::MakeModel(name, features, /*seed=*/9);
+    std::vector<float> scores, labels;
+    {
+      ShardedLoaderOptions options;
+      options.prefetch = false;
+      ShardedLoader loader = fixture.MakeLoader(options);
+      // At four threads: a full window of 8 batches, then a short one.
+      const int64_t tail = loader.NumBatchesPerEpoch() % 8;
+      ASSERT_TRUE(tail > 0 && tail < 4) << loader.NumBatchesPerEpoch();
+      loader.StartEpoch();
+      ag::NoGradScope no_grad;
+      Batch batch;
+      while (loader.Next(&batch)) {
+        const Tensor probs = Sigmoid(model->Forward(batch).value());
+        for (int64_t i = 0; i < probs.size(); ++i) {
+          scores.push_back(probs[i]);
+          labels.push_back(batch.y[i]);
+        }
+      }
+    }
+    ASSERT_EQ(scores.size(), 150u);
+    for (int64_t threads : {1, 4}) {
+      for (bool parallel : {false, true}) {
+        ShardedLoader loader = fixture.MakeLoader();  // prefetch on
+        train::InferenceOptions options;
+        options.num_threads = threads;
+        options.parallel = parallel;
+        const train::PredictResult got =
+            train::Trainer::PredictSource(model.get(), &loader, options);
+        EXPECT_TRUE(SameBits(got.scores, scores))
+            << "threads=" << threads << " parallel=" << parallel;
+        EXPECT_TRUE(SameBits(got.labels, labels))
+            << "threads=" << threads << " parallel=" << parallel;
+      }
     }
   }
 }

@@ -1,5 +1,10 @@
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "baselines/baselines.h"
 #include "data/pipeline.h"
 #include "gtest/gtest.h"
 #include "nn/gru.h"
@@ -167,6 +172,163 @@ TEST(TrainerTest, PredictIsInvariantToBatchSizeAndThreads) {
             << " i=" << i;
       }
       EXPECT_EQ(got.labels, base.labels);
+    }
+  }
+}
+
+// Every registered model: the paper's baselines, ELDA-Net and its ablations,
+// plus the starred embedding variants.
+std::vector<std::string> AllRegistryNames() {
+  std::vector<std::string> names = baselines::AllModelNames();
+  names.push_back("ELDA-Net-Fbi*");
+  names.push_back("ELDA-Net-Ffm*");
+  return names;
+}
+
+// Random samples over `features` features. `ragged` draws each stay's length
+// from [3, 12]; otherwise every stay has 8 steps. Multi-task labels ride
+// along so the same cohort feeds every head.
+std::vector<data::PreparedSample> RandomCohort(int64_t n, int64_t features,
+                                               bool ragged, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<data::PreparedSample> prepared;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t steps = ragged ? 3 + rng.UniformInt(10) : 8;
+    data::PreparedSample p;
+    p.x = Tensor::Normal({steps, features}, 0.0f, 1.0f, &rng);
+    p.mask = Tensor({steps, features});
+    p.delta = Tensor({steps, features});
+    for (int64_t j = 0; j < p.mask.size(); ++j) {
+      p.mask[j] = rng.Bernoulli(0.6) ? 1.0f : 0.0f;
+      p.delta[j] = static_cast<float>(rng.Uniform() * 3.0);
+    }
+    p.length = steps;
+    p.mortality_label = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
+    p.los_gt7_label = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
+    for (int64_t t = 0; t < steps; ++t) {
+      p.decomp_labels.push_back(rng.Bernoulli(0.3) ? 1.0f : 0.0f);
+    }
+    for (int64_t k = 0; k < data::kNumPhenotypes; ++k) {
+      p.phenotype_labels.push_back(rng.Bernoulli(0.4) ? 1.0f : 0.0f);
+    }
+    prepared.push_back(std::move(p));
+  }
+  return prepared;
+}
+
+std::vector<int64_t> Iota(int64_t n) {
+  std::vector<int64_t> indices;
+  for (int64_t i = 0; i < n; ++i) indices.push_back(i);
+  return indices;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The scoring loop's contract: the minibatch is the unit of padding, and
+// whether minibatches run whole, as row slices, one by one or across the
+// pool never changes a bit. 43 stays in minibatches of 5 make 9 minibatches,
+// so four threads see a full window of 8 plus a 3-row window that is cut
+// into row slices; two threads see windows of 4, 4 and 1.
+TEST(TrainerTest, PredictIsBitwiseAcrossThreadsAndParallelForEveryModel) {
+  const int64_t features = 5;
+  for (bool ragged : {false, true}) {
+    const auto prepared = RandomCohort(43, features, ragged, ragged ? 31 : 29);
+    const std::vector<int64_t> indices = Iota(43);
+    for (const std::string& name : AllRegistryNames()) {
+      SCOPED_TRACE(name + (ragged ? " ragged" : " fixed-length"));
+      auto model = baselines::MakeModel(name, features, /*seed=*/3);
+      InferenceOptions serial;
+      serial.batch_size = 5;
+      serial.num_threads = 1;
+      serial.parallel = false;
+      const PredictResult base = Trainer::Predict(
+          model.get(), prepared, indices, data::Task::kMortality, serial);
+      ASSERT_EQ(base.scores.size(), indices.size());
+      for (int64_t threads : {1, 2, 4}) {
+        for (bool parallel : {false, true}) {
+          InferenceOptions options;
+          options.batch_size = 5;
+          options.num_threads = threads;
+          options.parallel = parallel;
+          const PredictResult got = Trainer::Predict(
+              model.get(), prepared, indices, data::Task::kMortality, options);
+          EXPECT_TRUE(SameBits(got.scores, base.scores))
+              << "threads=" << threads << " parallel=" << parallel;
+          EXPECT_TRUE(SameBits(got.labels, base.labels));
+        }
+      }
+    }
+  }
+}
+
+// On fixed-length stays padding never varies, so the minibatch size does not
+// change a bit either.
+TEST(TrainerTest, PredictIsBitwiseAcrossBatchSizesOnFixedLengthData) {
+  const int64_t features = 5;
+  const auto prepared = RandomCohort(43, features, /*ragged=*/false, 37);
+  const std::vector<int64_t> indices = Iota(43);
+  for (const std::string& name : AllRegistryNames()) {
+    SCOPED_TRACE(name);
+    auto model = baselines::MakeModel(name, features, /*seed=*/4);
+    std::vector<float> reference;
+    for (int64_t batch_size : {1, 7, 256}) {
+      InferenceOptions options;
+      options.batch_size = batch_size;
+      options.num_threads = 4;
+      const std::vector<float> scores =
+          Trainer::Predict(model.get(), prepared, indices,
+                           data::Task::kMortality, options)
+              .scores;
+      if (reference.empty()) {
+        reference = scores;
+      } else {
+        EXPECT_TRUE(SameBits(scores, reference))
+            << "batch_size=" << batch_size;
+      }
+    }
+  }
+}
+
+// Multi-task evaluation shares the loop: every head's masked metrics are
+// bitwise the same serially and across the pool, on ragged stays.
+TEST(TrainerTest, EvaluateMultiTaskIsBitwiseAcrossThreadsAndParallel) {
+  const int64_t features = 5;
+  const auto prepared = RandomCohort(43, features, /*ragged=*/true, 41);
+  const std::vector<int64_t> indices = Iota(43);
+  for (const std::string& name : {std::string("GRU"), std::string("RETAIN"),
+                                  std::string("ELDA-Net")}) {
+    SCOPED_TRACE(name);
+    auto model = baselines::MakeModel(name, features, /*seed=*/5);
+    MultiHead heads;
+    heads.Add(std::make_unique<BinaryTerminalHead>());
+    heads.Add(std::make_unique<DecompensationHead>());
+    heads.Add(std::make_unique<PhenotypeHead>(model->encoding_dim(),
+                                              data::kNumPhenotypes, 6));
+    heads.Add(std::make_unique<LosHead>(model->encoding_dim(), 7));
+    InferenceOptions serial;
+    serial.batch_size = 5;
+    serial.num_threads = 1;
+    serial.parallel = false;
+    const MultiTaskEvalResult base = Trainer::EvaluateMultiTask(
+        model.get(), &heads, prepared, indices, data::Task::kMortality,
+        serial);
+    for (int64_t threads : {2, 4}) {
+      InferenceOptions options;
+      options.batch_size = 5;
+      options.num_threads = threads;
+      const MultiTaskEvalResult got = Trainer::EvaluateMultiTask(
+          model.get(), &heads, prepared, indices, data::Task::kMortality,
+          options);
+      ASSERT_EQ(got.per_task.size(), base.per_task.size());
+      for (size_t h = 0; h < base.per_task.size(); ++h) {
+        SCOPED_TRACE(base.tasks[h]);
+        EXPECT_EQ(got.per_task[h].bce, base.per_task[h].bce);
+        EXPECT_EQ(got.per_task[h].auc_roc, base.per_task[h].auc_roc);
+        EXPECT_EQ(got.per_task[h].auc_pr, base.per_task[h].auc_pr);
+      }
     }
   }
 }
