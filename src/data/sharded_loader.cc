@@ -287,7 +287,12 @@ void ShardedLoader::StartPrefetch() {
   stop_prefetch_ = false;
   ready_.clear();
   produce_next_ = cursor_;
-  prefetch_thread_ = std::thread([this] { PrefetchLoop(); });
+  // The producer decodes at the thread count of the thread that starts the
+  // epoch (a trainer's or PredictSource's ScopedNumThreads is per thread).
+  prefetch_thread_ = std::thread([this, threads = par::NumThreads()] {
+    par::ScopedNumThreads scoped_threads(threads);
+    PrefetchLoop();
+  });
 }
 
 void ShardedLoader::StopPrefetch() {

@@ -11,7 +11,8 @@
 //     Batches never cross buckets.
 //   - Double-buffered prefetch. A background thread materializes up to two
 //     batches ahead (decode + standardise + impute via par::ParallelFor over
-//     rows) while the trainer consumes the current one. The epoch plan is
+//     rows, at the thread count of the thread that started the epoch)
+//     while the trainer consumes the current one. The epoch plan is
 //     fixed before the thread starts, so the batch stream is bitwise
 //     identical with prefetch on or off and for any thread count.
 //   - Deterministic checkpointable cursor. Each epoch's plan is a pure

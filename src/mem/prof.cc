@@ -203,7 +203,8 @@ void Report(std::ostream& os) {
   const par::ParStats dispatch = par::Stats();
   os << "par: " << dispatch.parallel_dispatches << " parallel dispatches ("
      << dispatch.chunks << " chunks), " << dispatch.inline_runs
-     << " inline runs\n";
+     << " inline runs, " << dispatch.overlapped_dispatches
+     << " overlapped with another caller's job\n";
   os.flush();
 }
 

@@ -18,8 +18,10 @@ std::atomic<int64_t> g_num_threads_override{0};
 std::atomic<int64_t> g_parallel_dispatches{0};
 std::atomic<int64_t> g_chunks{0};
 std::atomic<int64_t> g_inline_runs{0};
+std::atomic<int64_t> g_overlapped_dispatches{0};
 
 thread_local bool tls_in_parallel_region = false;
+thread_local int64_t tls_num_threads_override = 0;  // ScopedNumThreads
 
 struct InParallelScope {
   bool prev;
@@ -47,6 +49,7 @@ int64_t DefaultNumThreads() {
 }  // namespace
 
 int64_t NumThreads() {
+  if (tls_num_threads_override > 0) return tls_num_threads_override;
   const int64_t override = g_num_threads_override.load(std::memory_order_relaxed);
   return override > 0 ? override : DefaultNumThreads();
 }
@@ -60,6 +63,15 @@ int64_t ConfiguredNumThreads() {
   return g_num_threads_override.load(std::memory_order_relaxed);
 }
 
+ScopedNumThreads::ScopedNumThreads(int64_t n)
+    : active_(n > 0), prev_(tls_num_threads_override) {
+  if (active_) tls_num_threads_override = std::min(n, kMaxWorkers);
+}
+
+ScopedNumThreads::~ScopedNumThreads() {
+  if (active_) tls_num_threads_override = prev_;
+}
+
 bool InParallelRegion() { return tls_in_parallel_region; }
 
 ParStats Stats() {
@@ -67,6 +79,8 @@ ParStats Stats() {
   s.parallel_dispatches = g_parallel_dispatches.load(std::memory_order_relaxed);
   s.chunks = g_chunks.load(std::memory_order_relaxed);
   s.inline_runs = g_inline_runs.load(std::memory_order_relaxed);
+  s.overlapped_dispatches =
+      g_overlapped_dispatches.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -82,38 +96,49 @@ Pool::~Pool() {
 }
 
 int64_t Pool::num_workers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(workers_.size());
+  return num_workers_.load(std::memory_order_acquire);
 }
 
 void Pool::EnsureWorkers(int64_t n) {
   n = std::min(n, kMaxWorkers);
+  if (num_workers_.load(std::memory_order_acquire) >= n) return;
   std::lock_guard<std::mutex> lock(mu_);
   while (static_cast<int64_t>(workers_.size()) < n) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  num_workers_.store(static_cast<int64_t>(workers_.size()),
+                     std::memory_order_release);
+}
+
+Pool::Job* Pool::OldestOpenJob() const {
+  for (Job* job : jobs_) {
+    if (job->next.load(std::memory_order_relaxed) < job->num_chunks) {
+      return job;
+    }
+  }
+  return nullptr;
 }
 
 void Pool::WorkerLoop() {
-  uint64_t seen_seq = 0;
   for (;;) {
     Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
-        return stop_ || (job_ != nullptr && job_seq_ != seen_seq);
+        return stop_ || (job = OldestOpenJob()) != nullptr;
       });
       if (stop_) return;
-      seen_seq = job_seq_;
-      job = job_;
-      ++workers_inside_;
+      ++job->workers_inside;
     }
     RunChunks(job);
+    bool last;
     {
+      // `job` may be destroyed as soon as mu_ is released with no worker
+      // inside, so only the pool's own condition variable is touched below.
       std::lock_guard<std::mutex> lock(mu_);
-      --workers_inside_;
+      last = --job->workers_inside == 0;
     }
-    done_cv_.notify_all();
+    if (last) done_cv_.notify_all();
   }
 }
 
@@ -128,38 +153,31 @@ void Pool::RunChunks(Job* job) {
       std::lock_guard<std::mutex> lock(mu_);
       if (!job->error) job->error = std::current_exception();
     }
-    if (job->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Acquire/release mu_ before notifying so a waiter that just checked
-      // the predicate is guaranteed to be asleep (no lost wakeup).
-      { std::lock_guard<std::mutex> lock(mu_); }
-      done_cv_.notify_all();
-    }
   }
 }
 
 void Pool::Run(int64_t num_chunks, const std::function<void(int64_t)>& fn) {
   if (num_chunks <= 0) return;
-  std::lock_guard<std::mutex> run_lock(run_mu_);
   Job job;
   job.fn = &fn;
   job.num_chunks = num_chunks;
-  job.pending.store(num_chunks, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    job_ = &job;
-    ++job_seq_;
+    if (!jobs_.empty()) {
+      g_overlapped_dispatches.fetch_add(1, std::memory_order_relaxed);
+    }
+    jobs_.push_back(&job);
   }
   work_cv_.notify_all();
   RunChunks(&job);
   {
-    // Wait until every chunk has finished AND every worker has left the
-    // claim loop — `job` lives on this stack frame.
+    // Every chunk is claimed now, and the caller's own are done. A chunk
+    // claimed by a worker finishes before that worker leaves the claim
+    // loop, and no worker enters it again, so once none is inside every
+    // chunk has finished (and mu_ orders their writes before ours).
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return job.pending.load(std::memory_order_acquire) == 0 &&
-             workers_inside_ == 0;
-    });
-    job_ = nullptr;
+    done_cv_.wait(lock, [&] { return job.workers_inside == 0; });
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
   }
   if (job.error) std::rethrow_exception(job.error);
 }

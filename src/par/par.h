@@ -15,14 +15,19 @@
 //   - Nested ParallelFor calls run inline on the worker that issued them, so
 //     batch-level parallelism (Trainer::Predict) composes with kernel-level
 //     parallelism without oversubscription or deadlock.
+//   - Concurrent callers share the pool. Each caller runs its own job's
+//     chunks and idle workers help the oldest open job, so one caller's
+//     dispatch never waits for another caller's job to finish.
 //   - Exceptions thrown by a chunk are captured and rethrown on the calling
 //     thread after all chunks finish (the repo's own code CHECK-aborts
 //     rather than throwing, but the pool must not silently eat errors from
 //     user-supplied functors).
 //
-// Thread count resolution, in decreasing priority: SetNumThreads(n > 0)
-// (the `--threads` flag and TrainerConfig::num_threads end up here), the
-// ELDA_THREADS environment variable, std::thread::hardware_concurrency().
+// Thread count resolution, in decreasing priority: the calling thread's
+// innermost ScopedNumThreads (TrainerConfig::num_threads and
+// InferenceOptions::num_threads end up here), SetNumThreads(n > 0) (the
+// `--threads` flag), the ELDA_THREADS environment variable,
+// std::thread::hardware_concurrency().
 
 #ifndef ELDA_PAR_PAR_H_
 #define ELDA_PAR_PAR_H_
@@ -40,15 +45,16 @@
 namespace elda {
 namespace par {
 
-// Configured thread count: override > ELDA_THREADS > hardware_concurrency.
-// Always >= 1.
+// Thread count for the calling thread: its ScopedNumThreads override >
+// the global override > ELDA_THREADS > hardware_concurrency. Always >= 1.
 int64_t NumThreads();
 
-// Sets the global thread-count override; n <= 0 restores automatic
+// Sets the process-wide thread-count override; n <= 0 restores automatic
 // resolution (ELDA_THREADS / hardware_concurrency).
 void SetNumThreads(int64_t n);
 
-// The raw override as last set by SetNumThreads (0 when automatic).
+// The raw global override as last set by SetNumThreads (0 when automatic);
+// ScopedNumThreads never changes it.
 int64_t ConfiguredNumThreads();
 
 // True when called from inside a ParallelFor chunk (worker or participating
@@ -63,19 +69,21 @@ struct ParStats {
   int64_t chunks = 0;               // chunks executed by those dispatches
   int64_t inline_runs = 0;          // serial fallbacks (1 thread, small
                                     // range, or nested region)
+  int64_t overlapped_dispatches = 0;  // Pool::Run calls published while
+                                      // another caller's job was open
 };
 ParStats Stats();
 
-// RAII override of the global thread count; n <= 0 leaves it untouched.
+// RAII override of the thread count for the calling thread only; n <= 0
+// leaves it untouched. Scopes nest per thread and take precedence over
+// SetNumThreads there, so concurrent callers each run at their own count.
+// The override does not follow work to other threads: pool workers run
+// nested calls inline anyway, and a thread a caller starts (ShardedLoader's
+// prefetch producer) opens its own scope.
 class ScopedNumThreads {
  public:
-  explicit ScopedNumThreads(int64_t n)
-      : active_(n > 0), prev_(ConfiguredNumThreads()) {
-    if (active_) SetNumThreads(n);
-  }
-  ~ScopedNumThreads() {
-    if (active_) SetNumThreads(prev_);
-  }
+  explicit ScopedNumThreads(int64_t n);
+  ~ScopedNumThreads();
   ScopedNumThreads(const ScopedNumThreads&) = delete;
   ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
 
@@ -96,36 +104,41 @@ class Pool {
 
   int64_t num_workers() const;
 
-  // Grows the pool to at least `n` workers (never shrinks).
+  // Grows the pool to at least `n` workers (never shrinks). Lock-free once
+  // the pool is that big.
   void EnsureWorkers(int64_t n);
 
   // Executes fn(chunk) for every chunk in [0, num_chunks) across the workers
   // and the calling thread; blocks until all chunks finish. Rethrows the
   // first exception thrown by any chunk. Concurrent Run() calls from
-  // different threads are serialized.
+  // different threads proceed side by side: each publishes its job to the
+  // list of open jobs and claims its own chunks at once, idle workers claim
+  // chunks from the oldest job with chunks left, and a caller waits only
+  // for its own job. A job's errors go to its own caller.
   void Run(int64_t num_chunks, const std::function<void(int64_t)>& fn);
 
  private:
   struct Job {
     const std::function<void(int64_t)>* fn = nullptr;
     int64_t num_chunks = 0;
-    std::atomic<int64_t> next{0};     // next unclaimed chunk
-    std::atomic<int64_t> pending{0};  // chunks not yet finished
-    std::exception_ptr error;         // first failure; guarded by pool mu_
+    std::atomic<int64_t> next{0};  // next unclaimed chunk
+    // Guarded by the pool's mu_:
+    int64_t workers_inside = 0;  // workers in this job's claim loop
+    std::exception_ptr error;    // first failure
   };
 
   void WorkerLoop();
+  Job* OldestOpenJob() const;  // requires mu_
   void RunChunks(Job* job);
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // workers wait for a job / stop
-  std::condition_variable done_cv_;  // Run() waits for completion
+  std::condition_variable done_cv_;  // Run() waits for its job's workers
   std::vector<std::thread> workers_;
-  Job* job_ = nullptr;        // current job; null when idle
-  uint64_t job_seq_ = 0;      // bumped per job so workers see new work
-  int64_t workers_inside_ = 0;  // workers currently touching job_
+  std::atomic<int64_t> num_workers_{0};  // workers_.size(), readable unlocked
+  std::vector<Job*> jobs_;  // open jobs, oldest first; each lives on its
+                            // Run() caller's stack until it is removed
   bool stop_ = false;
-  std::mutex run_mu_;  // serializes concurrent Run() callers
 };
 
 // The process-wide pool used by ParallelFor. Created on first use, grown on
@@ -138,7 +151,7 @@ Pool& GlobalPool();
 // Runs fn(begin, end) inline when the effective thread count is 1, the
 // range fits in one grain, or the caller is already inside a parallel
 // region. `max_threads` caps the thread count for this call only
-// (0 = use the global setting).
+// (0 = use NumThreads()).
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn,
                  int64_t max_threads = 0);

@@ -378,10 +378,15 @@ MinibatchStream IndexMinibatches(
   };
 }
 
-// One epoch of `source`, as it batches it.
+// One epoch of `source`, as it batches it. The epoch starts on the first
+// pull, inside RunScoringLoop's thread-count scope, so a prefetching source's
+// producer decodes at the scoring call's thread count.
 MinibatchStream SourceMinibatches(data::BatchSource* source) {
-  source->StartEpoch();
-  return [source](Minibatch* mb) {
+  return [source, started = false](Minibatch* mb) mutable {
+    if (!started) {
+      source->StartEpoch();
+      started = true;
+    }
     if (!source->Next(&mb->batch)) return false;
     mb->rows = mb->batch.x.shape(0);
     mb->steps = mb->batch.x.shape(1);
@@ -440,9 +445,12 @@ std::vector<WorkItem> PlanWorkItems(const std::vector<Minibatch>& window,
 
 // The scoring loop behind Predict, PredictSource and EvaluateMultiTask.
 // Only the calling thread pulls minibatches from `next`, a window of up to
-// 2 x NumThreads() at a time: a source whose producer itself needs the pool
-// (ShardedLoader's prefetch thread decodes with ParallelFor) must never be
-// waited on from inside pool work. The window's work items (PlanWorkItems)
+// 2 x NumThreads() at a time, between the window's pool jobs: a source is a
+// single-consumer stream. A producer it waits on (ShardedLoader's prefetch
+// thread, which decodes with ParallelFor) runs its own decode chunks on the
+// shared pool, so a pull from inside pool work would not deadlock, but it
+// would park a pool thread while the producer decodes, a thread lost to
+// both the window and the decode. The window's work items (PlanWorkItems)
 // are scored graph-free on the pool, each worker with its own context, and
 // their outputs are appended in source order. Row slices keep their
 // minibatch's padding and models score rows independently, so every layout

@@ -34,8 +34,9 @@ struct TrainerConfig {
   uint64_t seed = 1;
   bool verbose = false;     // per-epoch progress on stderr
   // Worker threads for the elda::par kernels and batched prediction during
-  // this trainer's run; 0 = automatic (ELDA_THREADS env, then
-  // hardware_concurrency). Applied for the duration of Train().
+  // this trainer's run, on the calling thread only; 0 = the process-wide
+  // setting (--threads, ELDA_THREADS env, then hardware_concurrency).
+  // Applied for the duration of Train().
   int64_t num_threads = 0;
 
   // -- Fault tolerance -------------------------------------------------------
@@ -70,8 +71,9 @@ struct InferenceOptions {
   // fixed-length cohorts they do not. Threads and `parallel` never change
   // them.
   int64_t batch_size = 256;
-  // Thread count for this call (kernels and the scoring pool); 0 = the
-  // global setting (--threads / ELDA_THREADS / hardware).
+  // Thread count for this call (kernels and the scoring pool), on the
+  // calling thread only; 0 = the process-wide setting (--threads /
+  // ELDA_THREADS / hardware).
   int64_t num_threads = 0;
   // Score minibatches, or row slices of one, concurrently on the elda::par
   // pool. Slices keep their minibatch's padding and every work item writes

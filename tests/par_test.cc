@@ -4,9 +4,14 @@
 // only splits disjoint output ranges, never the per-element arithmetic).
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -202,6 +207,214 @@ TEST(ParTest, ParallelReduceEmptyRangeReturnsIdentity) {
   const auto map = [](int64_t, int64_t) { return 1.0f; };
   const auto combine = [](float a, float b) { return a + b; };
   EXPECT_EQ(ParallelReduce<float>(5, 5, 8, -7.0f, map, combine), -7.0f);
+}
+
+// --- Concurrent callers ----------------------------------------------------
+//
+// Several threads dispatch to the shared pool at once. Each caller runs its
+// own chunks and idle workers help the oldest open job, so no caller waits
+// for another's job; the waits below are bounded so a pool that serializes
+// its callers fails with a message (and the ctest TIMEOUT on this binary
+// catches anything that still hangs).
+
+constexpr auto kWaitLimit = std::chrono::seconds(60);
+
+// Spins (yielding) until `flag` is set or kWaitLimit passes; returns
+// whether the flag was seen.
+bool WaitFor(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + kWaitLimit;
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ParConcurrencyTest, FourCallersMatchSerialBitwise) {
+  constexpr int64_t kN = 20000;
+  std::vector<float> x(kN);
+  Rng rng(11);
+  for (float& v : x) v = rng.Normal(0.0f, 3.0f);
+  const auto transform = [&](std::vector<float>* y) {
+    ParallelFor(0, kN, 256, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        (*y)[static_cast<size_t>(i)] = std::tanh(x[i]) * x[i] + 0.5f;
+      }
+    });
+  };
+  const auto max_abs = [&] {
+    return ParallelReduce<float>(
+        0, kN, 512, 0.0f,
+        [&](int64_t lo, int64_t hi) {
+          float m = 0.0f;
+          for (int64_t i = lo; i < hi; ++i) m = std::max(m, std::fabs(x[i]));
+          return m;
+        },
+        [](float a, float b) { return std::max(a, b); });
+  };
+  std::vector<float> want(kN);
+  float want_max;
+  {
+    ScopedNumThreads scoped(1);
+    transform(&want);
+    want_max = max_abs();
+  }
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      ScopedNumThreads scoped(4);
+      std::vector<float> got(kN);
+      for (int round = 0; round < 50; ++round) {
+        transform(&got);
+        if (std::memcmp(got.data(), want.data(), kN * sizeof(float)) != 0 ||
+            max_abs() != want_max) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// A chunk of caller A blocks until caller B's whole ParallelFor has
+// returned. A pool that runs one job at a time deadlocks here: B waits for
+// A's job to finish, and A's job waits for B.
+TEST(ParConcurrencyTest, CrossCallerProgress) {
+  std::atomic<bool> a_blocking{false}, b_done{false}, a_saw_b{false};
+  const int64_t overlapped_before = Stats().overlapped_dispatches;
+  std::thread a([&] {
+    ScopedNumThreads scoped(4);
+    ParallelFor(0, 16, 1, [&](int64_t lo, int64_t) {
+      if (lo != 0) return;
+      a_blocking.store(true, std::memory_order_release);
+      a_saw_b.store(WaitFor(b_done));
+    });
+  });
+  EXPECT_TRUE(WaitFor(a_blocking));
+  std::atomic<int64_t> b_total{0};
+  {
+    ScopedNumThreads scoped(4);
+    ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) {
+      b_total.fetch_add(hi - lo);
+    });
+  }
+  b_done.store(true, std::memory_order_release);
+  a.join();
+  EXPECT_TRUE(a_saw_b.load()) << "caller B waited for caller A's job";
+  EXPECT_EQ(b_total.load(), 64);
+  // B published its job while A's was open.
+  EXPECT_GE(Stats().overlapped_dispatches, overlapped_before + 1);
+}
+
+// A's job throws while B's job is open: the error reaches A only, and B's
+// job runs to completion.
+TEST(ParConcurrencyTest, ExceptionReachesOnlyItsOwnCaller) {
+  std::atomic<bool> a_inside{false}, b_inside{false}, a_threw{false};
+  std::atomic<bool> a_saw_b{false};
+  bool a_caught = false;
+  std::thread a([&] {
+    ScopedNumThreads scoped(4);
+    try {
+      ParallelFor(0, 16, 1, [&](int64_t lo, int64_t) {
+        if (lo != 0) return;
+        a_inside.store(true, std::memory_order_release);
+        a_saw_b.store(WaitFor(b_inside));
+        a_threw.store(true, std::memory_order_release);
+        throw std::runtime_error("caller A failed");
+      });
+    } catch (const std::runtime_error&) {
+      a_caught = true;
+    }
+  });
+  EXPECT_TRUE(WaitFor(a_inside));
+  std::atomic<int64_t> b_total{0};
+  bool b_threw = false;
+  {
+    ScopedNumThreads scoped(4);
+    try {
+      ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) {
+        if (lo == 0) {
+          b_inside.store(true, std::memory_order_release);
+          WaitFor(a_threw);
+        }
+        b_total.fetch_add(hi - lo);
+      });
+    } catch (...) {
+      b_threw = true;
+    }
+  }
+  a.join();
+  EXPECT_TRUE(a_saw_b.load()) << "the two jobs were never open together";
+  EXPECT_TRUE(a_caught);
+  EXPECT_FALSE(b_threw);
+  EXPECT_EQ(b_total.load(), 64);
+}
+
+// Hands turns between threads: Await(n) blocks until turn n, Next() passes
+// the turn on.
+class Turns {
+ public:
+  void Await(int turn) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return turn_ == turn; });
+  }
+  void Next() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++turn_;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int turn_ = 0;
+};
+
+// Interleaved scopes (A in, B in, A out, B out) on two threads: each thread
+// sees its own count throughout, and neither touches the global setting.
+TEST(ParConcurrencyTest, ScopedNumThreadsIsPerThread) {
+  const int64_t configured = ConfiguredNumThreads();
+  const int64_t outside = NumThreads();
+  Turns turns;
+  int64_t a_in = 0, a_during_b = 0, a_after = 0;
+  int64_t b_in = 0, b_after_a = 0, b_after = 0;
+  std::thread a([&] {
+    turns.Await(0);
+    {
+      ScopedNumThreads scoped(3);
+      a_in = NumThreads();
+      turns.Next();
+      turns.Await(2);
+      a_during_b = NumThreads();
+    }
+    a_after = NumThreads();
+    turns.Next();
+  });
+  std::thread b([&] {
+    turns.Await(1);
+    {
+      ScopedNumThreads scoped(5);
+      b_in = NumThreads();
+      turns.Next();
+      turns.Await(3);
+      b_after_a = NumThreads();
+    }
+    b_after = NumThreads();
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(a_in, 3);
+  EXPECT_EQ(a_during_b, 3);
+  EXPECT_EQ(a_after, outside);
+  EXPECT_EQ(b_in, 5);
+  EXPECT_EQ(b_after_a, 5);
+  EXPECT_EQ(b_after, outside);
+  EXPECT_EQ(ConfiguredNumThreads(), configured);
+  EXPECT_EQ(NumThreads(), outside);
 }
 
 // --- Tensor-kernel determinism --------------------------------------------

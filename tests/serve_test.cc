@@ -514,5 +514,69 @@ TEST(ServeTest, FinalStreamedRiskMatchesTrainerPredict) {
   }
 }
 
+// Two scoring workers at two kernel threads each: their StepForward kernels
+// dispatch to the shared pool side by side (a ThreadSanitizer target), and
+// every stay's final streamed risk still equals Trainer::Predict bitwise.
+TEST(ServeTest, TwoThreadedWorkersMatchTrainerPredict) {
+  synth::CohortConfig cohort_config = synth::SynthPhysioNet2012();
+  cohort_config.num_admissions = 6;
+  const data::EmrDataset cohort = synth::GenerateCohort(cohort_config);
+  std::vector<int64_t> all_indices;
+  for (int64_t i = 0; i < cohort.size(); ++i) all_indices.push_back(i);
+  data::Standardizer standardizer;
+  standardizer.Fit(cohort, all_indices);
+  const std::vector<data::PreparedSample> prepared =
+      data::PrepareDataset(cohort, standardizer);
+
+  for (const std::string& name :
+       {std::string("GRU"), std::string("ELDA-Net")}) {
+    SCOPED_TRACE(name);
+    auto model = baselines::MakeModel(name, cohort.num_features(), /*seed=*/5);
+    const train::PredictResult want = train::Trainer::Predict(
+        model.get(), prepared, all_indices, data::Task::kMortality);
+
+    serve::ServeConfig config;
+    config.async = true;
+    config.num_workers = 2;
+    config.infer.num_threads = 2;
+    config.window_capacity = 256;
+    serve::InferenceService service(model.get(), config);
+    std::vector<serve::SessionId> ids;
+    for (int64_t i = 0; i < cohort.size(); ++i) ids.push_back(service.Admit());
+    // One client per worker shard (sessions shard by id mod num_workers),
+    // so both workers score at once.
+    std::vector<float> got(static_cast<size_t>(cohort.size()), -1.0f);
+    std::vector<std::thread> clients;
+    for (int64_t w = 0; w < config.num_workers; ++w) {
+      clients.emplace_back([&, w] {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          const serve::SessionId shards =
+              static_cast<serve::SessionId>(config.num_workers);
+          if (ids[i] % shards != static_cast<serve::SessionId>(w)) continue;
+          const data::PreparedSample& sample = prepared[i];
+          const int64_t T = sample.x.shape(0);
+          const int64_t C = sample.x.shape(1);
+          serve::StepResult last;
+          for (int64_t t = 0; t < T; ++t) {
+            serve::Observation obs;
+            obs.x.assign(sample.x.data() + t * C,
+                         sample.x.data() + (t + 1) * C);
+            obs.mask.assign(sample.mask.data() + t * C,
+                            sample.mask.data() + (t + 1) * C);
+            obs.delta.assign(sample.delta.data() + t * C,
+                             sample.delta.data() + (t + 1) * C);
+            last = service.Observe(ids[i], std::move(obs));
+          }
+          if (last.ok && last.scored) got[i] = last.risk;
+        }
+      });
+    }
+    for (std::thread& c : clients) c.join();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(got[i], want.scores[i]) << "admission " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace elda

@@ -545,10 +545,9 @@ bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 // PredictSource over a prefetching loader. The prefetch thread decodes rows
-// with ParallelFor on the same pool the scoring loop fills, so only the
-// calling thread may pull batches; were pool work to wait on Next(), this
-// test would deadlock, and the ctest TIMEOUT on this binary turns that hang
-// into a failure. The reference forwards each batch of the drained stream
+// with ParallelFor on the same pool the scoring loop fills; only the calling
+// thread pulls batches, and a pool deadlock between the two would fail this
+// test through the ctest TIMEOUT on this binary instead of hanging. The reference forwards each batch of the drained stream
 // one by one, so scores must match it bitwise and in stream order. 150 stays
 // in bucketed batches of 16 make 11 batches: four threads score a full
 // window of 8 batches, then a window of 3 cut into row slices.
@@ -595,6 +594,49 @@ TEST(PredictSourceTest, PrefetchingLoaderScoresLikeTheSerialPath) {
       }
     }
   }
+}
+
+// ScopedNumThreads is per thread, so the prefetch producer takes the count
+// of the thread that starts the epoch: a 16-row decode fans out to the pool
+// at four threads and runs inline at one, whatever the global setting says.
+// No other thread dispatches while these run, so the pool's dispatch counter
+// shows which count the decode used.
+TEST(ShardedLoaderTest, PrefetchDecodesAtTheEpochStartersThreadCount) {
+  const LoaderFixture fixture("prefetch_threads");
+  const int64_t configured = par::ConfiguredNumThreads();
+  const auto dispatches_draining = [&](int64_t global, int64_t scoped) {
+    par::SetNumThreads(global);
+    par::ScopedNumThreads scoped_threads(scoped);
+    ShardedLoader loader = fixture.MakeLoader();  // prefetch on
+    const int64_t before = par::Stats().parallel_dispatches;
+    EXPECT_GT(DrainEpoch(&loader).size(), 1u);
+    return par::Stats().parallel_dispatches - before;
+  };
+  EXPECT_GT(dispatches_draining(/*global=*/1, /*scoped=*/4), 0);
+  EXPECT_EQ(dispatches_draining(/*global=*/4, /*scoped=*/1), 0);
+  par::SetNumThreads(configured);
+}
+
+// PredictSource starts the source's epoch inside its own thread-count
+// scope: at num_threads = 1 and parallel off, neither the decode nor the
+// kernels touch the pool, even with a global setting of four.
+TEST(PredictSourceTest, PrefetchDecodesAtTheCallsThreadCount) {
+  const LoaderFixture fixture("predict_source_threads");
+  const int64_t features =
+      static_cast<int64_t>(fixture.standardizer.means().size());
+  auto model = baselines::MakeModel("GRU", features, /*seed=*/9);
+  const int64_t configured = par::ConfiguredNumThreads();
+  par::SetNumThreads(4);
+  ShardedLoader loader = fixture.MakeLoader();  // prefetch on
+  train::InferenceOptions options;
+  options.num_threads = 1;
+  options.parallel = false;
+  const int64_t before = par::Stats().parallel_dispatches;
+  EXPECT_EQ(train::Trainer::PredictSource(model.get(), &loader, options)
+                .scores.size(),
+            90u);
+  EXPECT_EQ(par::Stats().parallel_dispatches - before, 0);
+  par::SetNumThreads(configured);
 }
 
 }  // namespace
